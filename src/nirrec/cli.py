@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -38,7 +38,7 @@ from .evaluate import (
     write_rankings_csv,
 )
 from .ingest import PrepareOptions, load_shards, prepare, save_shards
-from .model import TrainConfig, apply_ablation, load_params, train
+from .model import CANDIDATE_MODES, TrainConfig, apply_ablation, config_key, load_params, train
 
 log = logging.getLogger("nirrec")
 
@@ -75,22 +75,12 @@ def _parse_levels(raw: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
-TRAIN_KEYS = {
-    "d": int,
-    "d_a": int,
-    "h": int,
-    "t_steps": int,
-    "lambda": float,
-    "gamma": float,
-    "lr": float,
-    "epochs": int,
-    "batch_size": int,
-    "beta_seed": int,
-    "candidate_mode": str,
-    "negatives": int,
-    "eval_ks": _parse_ks,
-    "propagate_taxonomy": _parse_bool,
-}
+# The TrainConfig fields are the training schema: each one is a config-file
+# key (its ``config_key``) and a command-line flag, converted by the type of
+# its default.  ``seed`` is the shared --seed flag instead.
+TRAIN_FIELDS = tuple(f for f in fields(TrainConfig) if f.name != "seed")
+_CONVERTERS = {int: int, float: float, str: str, bool: _parse_bool, tuple: _parse_ks}
+TRAIN_KEYS = {config_key(f.name): _CONVERTERS[type(f.default)] for f in TRAIN_FIELDS}
 PREPARE_KEYS = {
     "levels": _parse_levels,
     "attr_mode": str,
@@ -135,39 +125,13 @@ def _layered(key: str, flag_value, file_cfg: dict[str, str], default):
 
 
 def build_train_config(args: argparse.Namespace, file_cfg: dict[str, str]) -> TrainConfig:
-    base = TrainConfig()
-    cfg = TrainConfig(
-        d=_layered("d", getattr(args, "d", None), file_cfg, base.d),
-        d_a=_layered("d_a", getattr(args, "d_a", None), file_cfg, base.d_a),
-        h=_layered("h", getattr(args, "h", None), file_cfg, base.h),
-        t_steps=_layered("t_steps", getattr(args, "t_steps", None), file_cfg, base.t_steps),
-        lambda_=_layered("lambda", getattr(args, "lambda_", None), file_cfg, base.lambda_),
-        gamma=_layered("gamma", getattr(args, "gamma", None), file_cfg, base.gamma),
-        lr=_layered("lr", getattr(args, "lr", None), file_cfg, base.lr),
-        epochs=_layered("epochs", getattr(args, "epochs", None), file_cfg, base.epochs),
-        batch_size=_layered(
-            "batch_size", getattr(args, "batch_size", None), file_cfg, base.batch_size
-        ),
+    return TrainConfig(
         seed=args.seed,
-        beta_seed=_layered("beta_seed", getattr(args, "beta_seed", None), file_cfg, base.beta_seed),
-        candidate_mode=_layered(
-            "candidate_mode", getattr(args, "candidate_mode", None), file_cfg, base.candidate_mode
-        ),
-        negatives=_layered("negatives", getattr(args, "negatives", None), file_cfg, base.negatives),
-        eval_ks=_layered(
-            "eval_ks",
-            _parse_ks(args.k) if getattr(args, "k", None) else None,
-            file_cfg,
-            base.eval_ks,
-        ),
-        propagate_taxonomy=_layered(
-            "propagate_taxonomy",
-            getattr(args, "propagate_taxonomy", None) or None,
-            file_cfg,
-            base.propagate_taxonomy,
-        ),
+        **{
+            f.name: _layered(config_key(f.name), getattr(args, f.name), file_cfg, f.default)
+            for f in TRAIN_FIELDS
+        },
     )
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +168,12 @@ def write_manifest(
     inputs: list[Path],
     outputs: list[Path],
     seconds: float,
-    threads: int,
 ) -> None:
     config_blob = json.dumps(config, sort_keys=True)
     manifest = {
         "command": command,
         "version": __version__,
         "seed": seed,
-        "threads": threads,
         "config": config,
         "config_hash": hashlib.sha256(config_blob.encode()).hexdigest(),
         "inputs": _input_digests(inputs),
@@ -262,7 +224,6 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         [Path(args.sessions), Path(args.catalog)],
         [out / "shard.bin", out / "index.json"],
         time.perf_counter() - started,
-        args.threads,
     )
     return 0
 
@@ -291,40 +252,30 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_manifest(
         out, "train", args.seed, cfg.to_dict(),
         [Path(args.shards)], [ckpt, log_path],
-        time.perf_counter() - started, args.threads,
+        time.perf_counter() - started,
     )
     print(f"checkpoint written to {ckpt}")
     return 0
 
 
-def _check_vocab(params, data) -> None:
-    table = params.encoder.item_table.data
-    if table.shape[0] != data.n_items:
-        raise EvaluationError(
-            f"checkpoint has {table.shape[0]} item rows but shards have {data.n_items}"
-        )
-    for level, tensor in enumerate(
-        (params.encoder.tax1, params.encoder.tax2, params.encoder.tax3), start=1
-    ):
-        if tensor.data.shape[0] != len(data.tax_vocab[level - 1]):
-            raise EvaluationError(
-                f"checkpoint taxonomy level {level} has {tensor.data.shape[0]} rows "
-                f"but shards have {len(data.tax_vocab[level - 1])}"
-            )
-    if params.attr_table.data.shape[0] != len(data.attr_tokens):
-        raise EvaluationError(
-            f"checkpoint has {params.attr_table.data.shape[0]} attribute rows "
-            f"but shards have {len(data.attr_tokens)}"
-        )
-
-
 def _evaluate_once(
-    shards: Path, ckpt: Path, cfg: TrainConfig, out: Path, eval_mode: str,
-    repeats: int, strict: bool,
+    shards: Path, ckpt: Path, out: Path, seed: int, file_cfg: dict[str, str] | None = None,
+    ks: tuple[int, ...] | None = None, eval_mode: str = "mean", repeats: int = 1,
+    strict: bool = False,
 ):
+    """Score a checkpoint under the config it carries.  Keys of ``file_cfg``
+    must agree with that config, except eval_ks, which evaluation sets."""
     data = load_shards(shards)
-    params = load_params(ckpt, t_steps=cfg.t_steps, attr_trainable=data.attr_vectors is None)
-    _check_vocab(params, data)
+    params, stored = load_params(ckpt, data)
+    file_cfg = file_cfg or {}
+    stored_values = stored.to_dict()
+    for key, raw in file_cfg.items():
+        if key in TRAIN_KEYS and key != "eval_ks" and TRAIN_KEYS[key](raw) != stored_values[key]:
+            raise EvaluationError(
+                f"config key {key!r} = {raw} disagrees with the checkpoint's "
+                f"{key} = {stored_values[key]}"
+            )
+    cfg = replace(stored, seed=seed, eval_ks=_layered("eval_ks", ks, file_cfg, stored.eval_ks))
     if eval_mode == "sampled":
         report = evaluate_sampled(params, data, cfg, repeats=repeats)
     else:
@@ -334,7 +285,7 @@ def _evaluate_once(
     rankings_path = out / "rankings.csv"
     write_metrics_json(metrics_path, report)
     write_rankings_csv(rankings_path, report.results, data.item_ids)
-    return report, metrics_path, rankings_path
+    return cfg, report, metrics_path, rankings_path
 
 
 def _print_metrics(report) -> None:
@@ -347,15 +298,15 @@ def _print_metrics(report) -> None:
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     file_cfg = parse_config_file(args.config) if args.config else {}
-    cfg = build_train_config(args, file_cfg)
     eval_mode = _layered("eval_mode", args.eval_mode, file_cfg, "mean")
     if eval_mode not in ("mean", "sampled"):
         raise ConfigurationError(f"eval_mode must be mean or sampled, got {eval_mode!r}")
     repeats = _layered("repeats", args.repeats, file_cfg, 5)
     strict = _layered("strict_precision", args.strict_precision or None, file_cfg, False)
     out = Path(args.out)
-    report, metrics_path, rankings_path = _evaluate_once(
-        Path(args.shards), Path(args.checkpoint), cfg, out, eval_mode, repeats, strict
+    cfg, report, metrics_path, rankings_path = _evaluate_once(
+        Path(args.shards), Path(args.checkpoint), out, args.seed, file_cfg, args.eval_ks,
+        eval_mode, repeats, strict,
     )
     _print_metrics(report)
     write_manifest(
@@ -364,7 +315,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
          "strict_precision": strict},
         [Path(args.shards), Path(args.checkpoint)],
         [metrics_path, rankings_path],
-        time.perf_counter() - started, args.threads,
+        time.perf_counter() - started,
     )
     return 0
 
@@ -377,15 +328,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     log.info("ablation %s on %s", args.which, args.shards)
     ckpt, log_path = _train_once(Path(args.shards), cfg, out)
-    report, metrics_path, rankings_path = _evaluate_once(
-        Path(args.shards), ckpt, cfg, out, "mean", 1, False
+    _, report, metrics_path, rankings_path = _evaluate_once(
+        Path(args.shards), ckpt, out, args.seed
     )
     print(f"ablation {args.which}:")
     _print_metrics(report)
     write_manifest(
         out, "ablate", args.seed, {**cfg.to_dict(), "ablation": args.which},
         [Path(args.shards)], [ckpt, log_path, metrics_path, rankings_path],
-        time.perf_counter() - started, args.threads,
+        time.perf_counter() - started,
     )
     return 0
 
@@ -415,9 +366,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run_dir = out / f"{args.param}_{value:g}"
         try:
             ckpt, _ = _train_once(Path(args.shards), cfg, run_dir)
-            report, _, _ = _evaluate_once(
-                Path(args.shards), ckpt, cfg, run_dir, "mean", 1, False
-            )
+            _, report, _, _ = _evaluate_once(Path(args.shards), ckpt, run_dir, args.seed)
             p20 = report.p.get(20)
             if p20 is None:
                 p20 = report.p[max(report.p)]
@@ -433,7 +382,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out, "sweep", args.seed,
         {**base_cfg.to_dict(), "param": args.param, "values": list(values)},
         [Path(args.shards)], [plot_path],
-        time.perf_counter() - started, args.threads,
+        time.perf_counter() - started,
     )
     print(f"sweep rows written to {plot_path}")
     if first_error is not None:
@@ -447,28 +396,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker thread bound")
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", required=True, help="output directory")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--d-a", dest="d_a", type=int)
-    parser.add_argument("--h", type=int)
-    parser.add_argument("--t-steps", dest="t_steps", type=int)
-    parser.add_argument("--lambda", dest="lambda_", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--beta-seed", dest="beta_seed", type=int)
-    parser.add_argument("--candidate-mode", dest="candidate_mode",
-                        choices=("full_vocab", "sampled"))
-    parser.add_argument("--negatives", type=int)
-    parser.add_argument("--k", help="comma-separated evaluation cutoffs")
-    parser.add_argument("--propagate-taxonomy", dest="propagate_taxonomy",
-                        action="store_true", default=None)
+    for f in TRAIN_FIELDS:
+        key = config_key(f.name)
+        flag = "--k" if key == "eval_ks" else "--" + key.replace("_", "-")
+        if type(f.default) is bool:
+            parser.add_argument(flag, dest=f.name, action="store_true", default=None)
+        else:
+            parser.add_argument(
+                flag, dest=f.name, type=TRAIN_KEYS[key],
+                choices=CANDIDATE_MODES if key == "candidate_mode" else None,
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--eval-mode", dest="eval_mode", choices=("mean", "sampled"))
     e.add_argument("--repeats", type=int)
     e.add_argument("--strict-precision", dest="strict_precision", action="store_true")
-    _add_train_flags(e)
+    e.add_argument("--k", dest="eval_ks", type=_parse_ks, help="comma-separated cutoffs")
     _add_shared(e)
     e.set_defaults(func=cmd_eval)
 
@@ -536,7 +478,14 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            if args.command != "eval":
+                parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+            raise EvaluationError(
+                f"unrecognized arguments {' '.join(unknown)}: eval takes the model "
+                "definition from the checkpoint"
+            )
         return args.func(args)
     except IngestionError as e:
         print(f"ingestion error: {e}", file=sys.stderr)

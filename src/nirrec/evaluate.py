@@ -46,18 +46,17 @@ class RankedResult:
 
 
 def rank(scores: Mapping, gt) -> RankedResult:
-    """Total-order ranking of a score map with the ascending-id tie rule."""
+    """Total-order ranking of an id -> score map with the ascending-id tie
+    rule; the same ranker :func:`evaluate` applies to candidate arrays."""
     if gt not in scores:
         raise EvaluationError(f"ground truth {gt!r} is not among the scored candidates")
-    ordered = sorted(scores, key=lambda item: (-float(scores[item]), item))
-    gt_rank = ordered.index(gt) + 1
-    return RankedResult(
-        session_id="", ranking=np.asarray(ordered), gt=gt, gt_rank=gt_rank
-    )
+    cand = np.asarray(list(scores))
+    values = np.asarray([float(v) for v in scores.values()])
+    return _rank_ids("", cand, values, gt)
 
 
 def _rank_ids(session_id: str, cand: np.ndarray, scores: np.ndarray, gt: int) -> RankedResult:
-    """Array fast path with identical semantics to :func:`rank`."""
+    """Candidates by descending score, ties broken by ascending id."""
     order = np.lexsort((cand, -scores))
     ranking = cand[order]
     pos = int(np.nonzero(ranking == gt)[0][0])
@@ -168,8 +167,9 @@ def evaluate(
             session_id=sess.session_id,
         )
         emb = infer_candidate_embeddings(params, data, cand)
-        z_hat, _ = score_candidates(fwd.i, params.w_proj, emb)
-        results.append(_rank_ids(sess.session_id, cand, z_hat.data, sess.gt))
+        # Rank the logits: softmax rounding can tie candidates they order.
+        _, logits = score_candidates(fwd.i, params.w_proj, emb)
+        results.append(_rank_ids(sess.session_id, cand, logits.data, sess.gt))
     if not results:
         raise EvaluationError(f"all {skipped} test sessions were skipped")
     report = MetricsReport(

@@ -18,8 +18,10 @@ items be scored through the same theta map at recommendation time.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -31,6 +33,8 @@ from .encoder import EncoderParams, GgnnParams, embed_session, init_encoder
 from .errors import (
     ConfigurationError,
     DomainError,
+    EvaluationError,
+    IngestionError,
     NonFiniteError,
     TrainingError,
 )
@@ -41,6 +45,15 @@ from .zeroshot import ThetaParams, init_theta, l_zero, theta_forward
 
 PROB_FLOOR = 1e-300
 ABLATIONS = ("no_alpha", "no_beta", "no_lzero")
+CANDIDATE_MODES = ("full_vocab", "sampled")
+CONFIG_ENTRY = "meta.config"
+DIGEST_ENTRY = "meta.vocab_sha256"
+
+
+def config_key(name: str) -> str:
+    """Config-file and JSON spelling of a :class:`TrainConfig` field
+    (``lambda_`` is ``lambda``)."""
+    return name.rstrip("_")
 
 
 @dataclass
@@ -81,7 +94,7 @@ class TrainConfig:
             raise ConfigurationError(f"h must be non-negative, got {self.h}")
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if self.candidate_mode not in ("full_vocab", "sampled"):
+        if self.candidate_mode not in CANDIDATE_MODES:
             raise ConfigurationError(
                 f"candidate_mode must be full_vocab or sampled, got {self.candidate_mode!r}"
             )
@@ -96,23 +109,13 @@ class TrainConfig:
         return self.seed if self.beta_seed < 0 else self.beta_seed
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "d_a": self.d_a,
-            "h": self.h,
-            "t_steps": self.t_steps,
-            "lambda": self.lambda_,
-            "gamma": self.gamma,
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "beta_seed": self.beta_seed,
-            "candidate_mode": self.candidate_mode,
-            "negatives": self.negatives,
-            "eval_ks": list(self.eval_ks),
-            "propagate_taxonomy": self.propagate_taxonomy,
-        }
+        out = {config_key(f.name): getattr(self, f.name) for f in fields(self)}
+        out["eval_ks"] = list(self.eval_ks)
+        return out
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "TrainConfig":
+        return cls(**{f.name: raw[config_key(f.name)] for f in fields(cls)})
 
 
 def apply_ablation(cfg: TrainConfig, which: str | None) -> TrainConfig:
@@ -137,6 +140,8 @@ class ModelParams:
     theta: ThetaParams
     w_proj: Tensor
     attr_table: Tensor
+    config: TrainConfig
+    vocab_digest: bytes
     attr_trainable: bool = True
 
     @property
@@ -161,7 +166,28 @@ class ModelParams:
         return out
 
     def save(self, path: str | Path) -> None:
-        save_tensors(path, {k: v.data for k, v in self.named().items()})
+        """Write every tensor plus the config and vocabulary digest that
+        define the model, so evaluation needs nothing else."""
+        config = json.dumps(self.config.to_dict(), sort_keys=True, separators=(",", ":"))
+        save_tensors(path, {
+            **{k: v.data for k, v in self.named().items()},
+            CONFIG_ENTRY: _bytes_to_vector(config.encode("utf-8")),
+            DIGEST_ENTRY: _bytes_to_vector(self.vocab_digest),
+        })
+
+
+def _bytes_to_vector(raw: bytes) -> np.ndarray:
+    return np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+
+
+def _vector_to_bytes(vec: np.ndarray) -> bytes:
+    return vec.astype(np.uint8).tobytes()
+
+
+def vocab_digest(data: PreparedData) -> bytes:
+    """SHA-256 over the item, taxonomy and attribute vocabularies."""
+    blob = json.dumps([data.item_ids, [list(v) for v in data.tax_vocab], data.attr_tokens])
+    return hashlib.sha256(blob.encode("utf-8")).digest()
 
 
 def init_params(data: PreparedData, cfg: TrainConfig) -> ModelParams:
@@ -194,24 +220,42 @@ def init_params(data: PreparedData, cfg: TrainConfig) -> ModelParams:
         theta=theta,
         w_proj=w_proj,
         attr_table=attr_table,
+        config=cfg,
+        vocab_digest=vocab_digest(data),
         attr_trainable=attr_trainable,
     )
 
 
-def load_params(path: str | Path, t_steps: int = 1, attr_trainable: bool = True) -> ModelParams:
-    """Rebuild :class:`ModelParams` from a checkpoint file."""
-    raw = load_tensors(path)
+def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, TrainConfig]:
+    """Rebuild :class:`ModelParams` and its :class:`TrainConfig` from a
+    checkpoint file.  Every fault (unreadable container, missing tensor or
+    metadata, a vocabulary other than ``data``'s) is an EvaluationError."""
+    try:
+        raw = load_tensors(path)
+    except IngestionError as e:
+        raise EvaluationError(f"checkpoint {e}") from e
     required = {
         "enc.item_table", "enc.tax1", "enc.tax2", "enc.tax3", "enc.Wtax", "enc.Wtax_b",
         "enc.ggnn.H", "enc.ggnn.b", "enc.ggnn.Wz", "enc.ggnn.Uz", "enc.ggnn.Wr",
         "enc.ggnn.Ur", "enc.ggnn.Wo", "enc.ggnn.Uo",
         "intent.W1", "intent.W2", "intent.W3",
         "zeroshot.theta.h_w", "zeroshot.theta.h_b", "zeroshot.theta.o_w", "zeroshot.theta.o_b",
-        "proj.W_I", "attr.table",
+        "proj.W_I", "attr.table", CONFIG_ENTRY, DIGEST_ENTRY,
     }
     missing = required - set(raw)
     if missing:
-        raise ConfigurationError(f"checkpoint {path} is missing tensors {sorted(missing)}")
+        raise EvaluationError(f"checkpoint {path} is missing tensors {sorted(missing)}")
+    try:
+        cfg = TrainConfig.from_dict(json.loads(_vector_to_bytes(raw[CONFIG_ENTRY])))
+    except (ValueError, KeyError, TypeError, ConfigurationError) as e:
+        raise EvaluationError(f"checkpoint {path} has an unreadable config: {e}") from e
+    digest = _vector_to_bytes(raw[DIGEST_ENTRY])
+    if digest != vocab_digest(data):
+        raise EvaluationError(
+            f"checkpoint {path} was trained on other item, taxonomy or attribute "
+            "vocabularies than the shards"
+        )
+    attr_trainable = data.attr_vectors is None
 
     def t(name: str, trainable: bool = True) -> Tensor:
         return Tensor(raw[name], requires_grad=trainable)
@@ -232,7 +276,7 @@ def load_params(path: str | Path, t_steps: int = 1, attr_trainable: bool = True)
             ur=t("enc.ggnn.Ur"),
             wo=t("enc.ggnn.Wo"),
             uo=t("enc.ggnn.Uo"),
-            steps=t_steps,
+            steps=cfg.t_steps,
         ),
     )
     return ModelParams(
@@ -246,8 +290,10 @@ def load_params(path: str | Path, t_steps: int = 1, attr_trainable: bool = True)
         ),
         w_proj=t("proj.W_I"),
         attr_table=t("attr.table", trainable=attr_trainable),
+        config=cfg,
+        vocab_digest=digest,
         attr_trainable=attr_trainable,
-    )
+    ), cfg
 
 
 # ---------------------------------------------------------------------------

@@ -128,15 +128,6 @@ def build_graph(
     )
 
 
-def graph_from_session(session: Session) -> SessionGraph | None:
-    """Mask the ground truth and build the graph; None when rejected."""
-    masked = mask_ground_truth(session)
-    if masked is None:
-        return None
-    history, gt = masked
-    return build_graph(history, ground_truth=gt, session_id=session.session_id)
-
-
 @dataclass
 class GraphBatch:
     """Graphs padded to a common node count with a validity mask.

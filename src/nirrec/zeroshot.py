@@ -107,8 +107,3 @@ def l_zero(v_nodes: Tensor, atr_nodes: Tensor, params: ThetaParams) -> Tensor:
         term = bhattacharyya(vi, si)
         total = term if total is None else ad.add(total, term)
     return total
-
-
-def infer_embeddings(params: ThetaParams, atr: Tensor) -> Tensor:
-    """Embeddings for candidate items from attributes alone (via θ)."""
-    return theta_forward(params, atr)

@@ -4,14 +4,20 @@ artifact determinism, and the sweep/ablation surface."""
 import csv
 import hashlib
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import nirrec.cli as cli
+from nirrec.autodiff import load_tensors, save_tensors
 from nirrec.cli import DEFAULT_SWEEP_VALUES, main, parse_config_file
 from nirrec.datagen import write_toy_dataset
 from nirrec.errors import ConfigurationError, TrainingError
+from nirrec.evaluate import evaluate, write_rankings_csv
+from nirrec.ingest import load_shards
+from nirrec.model import TrainConfig, load_params
 from nirrec.model import train as real_train
 
 
@@ -41,6 +47,58 @@ def checkpoint(tmp_path_factory, shards):
             "--seed", "3"]
     assert main(argv) == 0
     return out / "checkpoint.bin"
+
+
+# Every TrainConfig field with its command-line flag, config-file key and a
+# value other than its default (as typed on the command line).
+SCHEMA = {
+    "d": ("--d", "d", "8"),
+    "d_a": ("--d-a", "d_a", "5"),
+    "h": ("--h", "h", "7"),
+    "t_steps": ("--t-steps", "t_steps", "2"),
+    "lambda_": ("--lambda", "lambda", "0.25"),
+    "gamma": ("--gamma", "gamma", "0.75"),
+    "lr": ("--lr", "lr", "0.01"),
+    "epochs": ("--epochs", "epochs", "3"),
+    "batch_size": ("--batch-size", "batch_size", "4"),
+    "beta_seed": ("--beta-seed", "beta_seed", "6"),
+    "candidate_mode": ("--candidate-mode", "candidate_mode", "sampled"),
+    "negatives": ("--negatives", "negatives", "9"),
+    "eval_ks": ("--k", "eval_ks", "1,5"),
+    "propagate_taxonomy": ("--propagate-taxonomy", "propagate_taxonomy", "true"),
+}
+
+
+class TestTrainSchema:
+    """The TrainConfig fields drive the flags, the config keys and to_dict."""
+
+    def test_every_field_is_covered(self):
+        assert set(SCHEMA) == {f.name for f in fields(TrainConfig)} - {"seed"}
+        assert {key for _, key, _ in SCHEMA.values()} <= set(cli.ALL_KEYS)
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("Config keys accepted in `--config` files:", 1)[1]
+        listed = re.findall(r"`(\w+)`", section.split("\n\n", 1)[0])
+        assert listed == list(cli.ALL_KEYS)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA))
+    def test_field_through_flag_file_and_round_trip(self, name, tmp_path):
+        flag, key, raw = SCHEMA[name]
+        parser = cli.build_parser()
+        base = ["train", "shards", "--out", str(tmp_path / "o"), "--seed", "2"]
+        flag_argv = [flag] if raw == "true" else [flag, raw]
+        from_flag = cli.build_train_config(parser.parse_args(base + flag_argv), {})
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {raw}\n")
+        from_file = cli.build_train_config(parser.parse_args(base), parse_config_file(cfg_file))
+        default = getattr(TrainConfig(), name)
+        assert getattr(from_flag, name) != default
+        assert getattr(from_flag, name) == getattr(from_file, name)
+        assert from_flag == from_file
+        assert from_flag.seed == 2
+        assert from_flag.to_dict()[key] == from_file.to_dict()[key]
+        assert TrainConfig.from_dict(from_flag.to_dict()) == from_flag
 
 
 class TestConfigFile:
@@ -144,7 +202,6 @@ class TestManifests:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["seed"] == 7
-        assert manifest["threads"] == 1
         assert manifest["seconds"] > 0
         assert len(manifest["config_hash"]) == 64
         for path, digest in manifest["inputs"].items():
@@ -276,6 +333,95 @@ class TestEvalCommand:
         assert main(argv) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert "p_std" in metrics and "mrr_std" in metrics
+
+
+@pytest.fixture(scope="module")
+def model_run(tmp_path_factory, shards):
+    """A checkpoint whose architecture differs from the TrainConfig defaults."""
+    out = tmp_path_factory.mktemp("model_run")
+    argv = ["train", str(shards), "--out", str(out), "--epochs", "2", "--d", "16",
+            "--seed", "3", "--t-steps", "2", "--lambda", "0.2", "--propagate-taxonomy"]
+    assert main(argv) == 0
+    return out / "checkpoint.bin"
+
+
+class TestCheckpointConfig:
+    """eval reads the model definition from the checkpoint, and every
+    checkpoint fault exits 4."""
+
+    def test_eval_without_model_flags_ranks_as_trained(self, shards, model_run, tmp_path):
+        out = tmp_path / "e"
+        assert main(["eval", str(shards), str(model_run), "--out", str(out)]) == 0
+        trained = TrainConfig(d=16, epochs=2, seed=3, t_steps=2, lambda_=0.2,
+                              propagate_taxonomy=True)
+        data = load_shards(shards)
+        params, stored = load_params(model_run, data)
+        assert stored == trained
+        assert params.encoder.ggnn.steps == trained.t_steps
+        want = tmp_path / "want.csv"
+        write_rankings_csv(want, evaluate(params, data, trained).results, data.item_ids)
+        assert (out / "rankings.csv").read_bytes() == want.read_bytes()
+
+    def test_agreeing_config_keys_accepted(self, shards, model_run, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda = 0.2\nt_steps = 2\npropagate_taxonomy = true\n"
+                       "eval_ks = 1,5\nlevels = 4,3,2\n")
+        out = tmp_path / "e"
+        argv = ["eval", str(shards), str(model_run), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        assert set(json.loads((out / "metrics.json").read_text())["p"]) == {"1", "5"}
+
+    def test_conflicting_config_key_returns_four(self, shards, model_run, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_steps = 1\n")
+        argv = ["eval", str(shards), str(model_run), "--config", str(cfg),
+                "--out", str(tmp_path / "e")]
+        assert main(argv) == 4
+        assert "'t_steps'" in capsys.readouterr().err
+
+    def test_model_flag_on_eval_returns_four(self, shards, model_run, tmp_path):
+        argv = ["eval", str(shards), str(model_run), "--t-steps", "2",
+                "--out", str(tmp_path / "e")]
+        assert main(argv) == 4
+
+    def test_truncated_checkpoint_returns_four(self, shards, model_run, tmp_path, capsys):
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(model_run.read_bytes()[:-100])
+        assert main(["eval", str(shards), str(cut), "--out", str(tmp_path / "e")]) == 4
+        assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["meta.config", "meta.vocab_sha256", "proj.W_I"])
+    def test_missing_entry_returns_four(self, shards, model_run, tmp_path, entry):
+        raw = load_tensors(model_run)
+        del raw[entry]
+        partial = tmp_path / "partial.bin"
+        save_tensors(partial, raw)
+        assert main(["eval", str(shards), str(partial), "--out", str(tmp_path / "e")]) == 4
+
+    def test_same_size_vocabulary_with_renamed_item_returns_four(
+        self, corpus, shards, model_run, tmp_path, capsys
+    ):
+        sessions, catalog = corpus
+        rows = [json.loads(line) for line in Path(catalog).read_text().splitlines()]
+        old = rows[0]["item"]
+        rows[0]["item"] = old + "-renamed"
+        cat = tmp_path / "cat.jsonl"
+        cat.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        sess_lines = []
+        for line in Path(sessions).read_text().splitlines():
+            s = json.loads(line)
+            for e in s["events"]:
+                if e["item"] == old:
+                    e["item"] = rows[0]["item"]
+            sess_lines.append(json.dumps(s))
+        sess = tmp_path / "sess.jsonl"
+        sess.write_text("\n".join(sess_lines) + "\n")
+        renamed = tmp_path / "renamed"
+        assert main(["prepare", str(sess), str(cat), "--out", str(renamed)]) == 0
+        assert load_shards(renamed).n_items == load_shards(shards).n_items
+        argv = ["eval", str(renamed), str(model_run), "--out", str(tmp_path / "e")]
+        assert main(argv) == 4
+        assert "vocabularies" in capsys.readouterr().err
 
 
 class TestSweep:

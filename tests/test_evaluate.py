@@ -21,7 +21,15 @@ from nirrec.evaluate import (
     write_plotdata_csv,
     write_rankings_csv,
 )
-from nirrec.model import init_params, train
+from nirrec.ingest import EncodedSession
+from nirrec.model import (
+    candidate_ids,
+    forward,
+    infer_candidate_embeddings,
+    init_params,
+    score_candidates,
+    train,
+)
 
 from test_model import small_cfg, tiny_data
 
@@ -211,6 +219,33 @@ class TestEvaluatePipeline:
         r1 = evaluate_sampled(self.params, self.data, self.cfg, repeats=2)
         r2 = evaluate_sampled(self.params, self.data, self.cfg, repeats=2)
         assert r1.p == r2.p and r1.p_std == r2.p_std
+
+
+class TestRankOnLogits:
+    def test_underflowed_ground_truth_ranks_by_logit(self):
+        """A single-node history has Beta std 0, so the logits span
+        thousands and most probabilities underflow to exactly 0; the rank
+        must still follow the logits, not the id tie-break among zeros."""
+        data = tiny_data(n_items=40)
+        cfg = small_cfg()
+        params = init_params(data, cfg)
+        history = [3, 3]
+        cand = candidate_ids(data.n_items, history)
+        fwd = forward(history, params, data, cfg.lambda_, beta_mode="mean")
+        probs, logits = score_candidates(
+            fwd.i, params.w_proj, infer_candidate_embeddings(params, data, cand)
+        )
+        underflow = probs.data == 0.0
+        assert underflow.sum() >= 2
+        gt = int(cand[underflow][np.argmin(logits.data[underflow])])
+        assert gt != cand[underflow].max()  # the id tie-break alone would misplace it
+        data.test = [EncodedSession("single-node", history, gt)]
+        res = evaluate(params, data, cfg).results[0]
+        by_id = dict(zip(cand.tolist(), logits.data))
+        g = by_id[gt]
+        larger = sum(1 for v in by_id.values() if v > g)
+        tied_before = sum(1 for i, v in by_id.items() if v == g and i < gt)
+        assert res.gt_rank == 1 + larger + tied_before
 
 
 class TestArtifacts:

@@ -1,12 +1,20 @@
 """Model assembly tests: scoring, joint loss wiring, end-to-end gradients
 against finite differences, training determinism, and ablation algebra."""
 
+import json
+
 import numpy as np
 import pytest
 
 import nirrec.autodiff as ad
 from nirrec.autodiff import Rng, Tensor, load_tensors
-from nirrec.errors import ConfigurationError, DomainError, NonFiniteError, TrainingError
+from nirrec.errors import (
+    ConfigurationError,
+    DomainError,
+    EvaluationError,
+    NonFiniteError,
+    TrainingError,
+)
 from nirrec.ingest import EncodedSession, PreparedData
 from nirrec.model import (
     TrainConfig,
@@ -366,7 +374,8 @@ class TestTraining:
         result = train(data, cfg)
         path = tmp_path / "model.bin"
         result.params.save(path)
-        back = load_params(path, t_steps=cfg.t_steps)
+        back, back_cfg = load_params(path, data)
+        assert back_cfg == cfg
         for name, tensor in result.params.named().items():
             np.testing.assert_array_equal(tensor.data, back.named()[name].data)
         path2 = tmp_path / "again.bin"
@@ -378,8 +387,8 @@ class TestTraining:
 
         path = tmp_path / "partial.bin"
         save_tensors(path, {"proj.W_I": np.zeros((4, 2))})
-        with pytest.raises(ConfigurationError, match="missing tensors"):
-            load_params(path)
+        with pytest.raises(EvaluationError, match="missing tensors"):
+            load_params(path, tiny_data())
 
     def test_unique_checkpoint_names(self):
         data = tiny_data()
@@ -398,6 +407,41 @@ class TestTraining:
         frozen = params.attr_table.data.copy()
         result = train(data, cfg, params=params)
         np.testing.assert_array_equal(result.params.attr_table.data, frozen)
+
+
+class TestCheckpointMetadata:
+    """A checkpoint carries the TrainConfig and a digest of the vocabularies."""
+
+    def saved(self, tmp_path, **over):
+        data = tiny_data()
+        cfg = small_cfg(epochs=1, **over)
+        path = tmp_path / "model.bin"
+        train(data, cfg).params.save(path)
+        return data, cfg, path
+
+    def test_config_and_digest_stored_beside_the_tensors(self, tmp_path):
+        data, cfg, path = self.saved(tmp_path)
+        raw = load_tensors(path)
+        assert len(raw) == 23 + 2
+        text = raw["meta.config"].astype(np.uint8).tobytes().decode("utf-8")
+        assert TrainConfig.from_dict(json.loads(text)) == cfg
+        assert raw["meta.vocab_sha256"].shape == (32,)
+
+    def test_t_steps_come_from_the_stored_config(self, tmp_path):
+        data, _, path = self.saved(tmp_path, t_steps=2, lambda_=0.2, propagate_taxonomy=True)
+        params, stored = load_params(path, data)
+        assert params.encoder.ggnn.steps == 2
+        assert (stored.lambda_, stored.propagate_taxonomy) == (0.2, True)
+
+    def test_unreadable_config_rejected(self, tmp_path):
+        from nirrec.autodiff import save_tensors
+
+        data, _, path = self.saved(tmp_path)
+        raw = load_tensors(path)
+        raw["meta.config"] = np.frombuffer(b'{"d": 4}', dtype=np.uint8).astype(np.float64)
+        save_tensors(path, raw)
+        with pytest.raises(EvaluationError, match="config"):
+            load_params(path, data)
 
 
 class TestConfigValidation:

