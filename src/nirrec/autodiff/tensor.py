@@ -434,18 +434,17 @@ def concat(tensors: Sequence) -> Tensor:
 
 
 def softmax(t) -> Tensor:
-    """Probability vector from a 1-d logit vector, max-shifted for stability."""
+    """Probabilities along the last axis of a 1-d or 2-d tensor, max-shifted for stability."""
     t = _as_tensor(t)
-    if t.ndim != 1:
-        raise DimensionError(f"softmax: expected a 1-d tensor, got shape {t.shape}")
+    if t.ndim not in (1, 2):
+        raise DimensionError(f"softmax: expected a 1-d or 2-d tensor, got shape {t.shape}")
     if t.size == 0:
         raise DomainError("softmax: empty input")
-    shifted = t.data - np.max(t.data)
-    e = np.exp(shifted)
-    out = Tensor(e / np.sum(e))
+    e = np.exp(t.data - np.max(t.data, axis=-1, keepdims=True))
+    out = Tensor(e / np.sum(e, axis=-1, keepdims=True))
 
     def rule(g: np.ndarray, y: np.ndarray = out.data) -> None:
-        _accumulate(t, y * (g - np.dot(g, y)))
+        _accumulate(t, y * (g - np.sum(g * y, axis=-1, keepdims=True)))
 
     return _record(out, (t,), rule)
 

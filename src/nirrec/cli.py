@@ -115,12 +115,20 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return out
 
 
+def _convert(key: str, raw: str):
+    """A config-file value converted by its key's type; a malformed one names both."""
+    try:
+        return ALL_KEYS[key](raw)
+    except (ValueError, ConfigurationError) as e:
+        raise ConfigurationError(f"config key {key!r} has a malformed value {raw!r}: {e}") from e
+
+
 def _layered(key: str, flag_value, file_cfg: dict[str, str], default):
     """flag > file > default, with type conversion for file values."""
     if flag_value is not None:
         return flag_value
     if key in file_cfg:
-        return ALL_KEYS[key](file_cfg[key])
+        return _convert(key, file_cfg[key])
     return default
 
 
@@ -193,8 +201,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     file_cfg = parse_config_file(args.config) if args.config else {}
     opts = PrepareOptions(
-        level_sizes=_layered("levels", _parse_levels(args.levels) if args.levels else None,
-                             file_cfg, PrepareOptions().level_sizes),
+        level_sizes=_layered("levels", args.levels, file_cfg, PrepareOptions().level_sizes),
         attr_mode=_layered("attr_mode", args.attr_mode, file_cfg, "trainable"),
         vectors_path=_layered("vectors_path", args.vectors, file_cfg, None),
         boundary_days=_layered("boundary_days", args.boundary_days, file_cfg, 7.0),
@@ -270,7 +277,7 @@ def _evaluate_once(
     file_cfg = file_cfg or {}
     stored_values = stored.to_dict()
     for key, raw in file_cfg.items():
-        if key in TRAIN_KEYS and key != "eval_ks" and TRAIN_KEYS[key](raw) != stored_values[key]:
+        if key in TRAIN_KEYS and key != "eval_ks" and _convert(key, raw) != stored_values[key]:
             raise EvaluationError(
                 f"config key {key!r} = {raw} disagrees with the checkpoint's "
                 f"{key} = {stored_values[key]}"
@@ -413,8 +420,15 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
             )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 by ConfigurationError, not 2, the ingestion code."""
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nirrec",
         description="Session-based new-item recommender: dataset preparation, "
         "training, evaluation, ablations, and hyperparameter sweeps.",
@@ -424,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="ingest sessions + catalog into shards")
     p.add_argument("sessions")
     p.add_argument("catalog")
-    p.add_argument("--levels", help="taxonomy cluster sizes k1,k2,k3")
+    p.add_argument("--levels", type=_parse_levels, help="taxonomy cluster sizes k1,k2,k3")
     p.add_argument("--attr-mode", dest="attr_mode", choices=("trainable", "pretrained"))
     p.add_argument("--vectors", help="pretrained token vector file")
     p.add_argument("--boundary-days", dest="boundary_days", type=float)

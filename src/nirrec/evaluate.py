@@ -168,7 +168,7 @@ def evaluate(
         )
         emb = infer_candidate_embeddings(params, data, cand)
         # Rank the logits: softmax rounding can tie candidates they order.
-        _, logits = score_candidates(fwd.i, params.w_proj, emb)
+        logits = score_candidates(fwd.i, params.w_proj, emb)
         results.append(_rank_ids(sess.session_id, cand, logits.data, sess.gt))
     if not results:
         raise EvaluationError(f"all {skipped} test sessions were skipped")

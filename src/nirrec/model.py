@@ -5,11 +5,12 @@ A session flows through the pipeline as
 
     graph -> GGNN node embeddings (v, t) -> dual-intent vector I (2d)
           -> projection u = I @ W_I (d) -> logits against inferred
-             candidate embeddings theta(attr) -> softmax scores
+             candidate embeddings theta(attr)
 
 and trains on the joint objective
 
-    L = gamma * (-log score[ground truth]) + (1 - gamma) * sum_i BC(v_i, theta(atr_i))
+    L = gamma * (logsumexp(logits) - logit[ground truth])
+        + (1 - gamma) * sum_i BC(v_i, theta(atr_i))
 
 where the second term ties each session node's graph embedding to the
 embedding inferred from its attributes, which is what lets never-seen
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -43,7 +44,6 @@ from .intent import IntentParams, IntentResult, compute_intent, init_intent
 from .sessiongraph import SessionGraph, build_graph
 from .zeroshot import ThetaParams, init_theta, l_zero, theta_forward
 
-PROB_FLOOR = 1e-300
 ABLATIONS = ("no_alpha", "no_beta", "no_lzero")
 CANDIDATE_MODES = ("full_vocab", "sampled")
 CONFIG_ENTRY = "meta.config"
@@ -370,13 +370,12 @@ def infer_candidate_embeddings(
     return theta_forward(params.theta, atr)
 
 
-def score_candidates(i_vec: Tensor, w_proj: Tensor, cand_emb: Tensor) -> tuple[Tensor, Tensor]:
-    """Probability vector over candidates: softmax of (I @ W_I) . c_i."""
+def score_candidates(i_vec: Tensor, w_proj: Tensor, cand_emb: Tensor) -> Tensor:
+    """Logit per candidate: (I @ W_I) . c_i."""
     if cand_emb.data.shape[0] == 0:
         raise DomainError("cannot score an empty candidate set")
     u = ad.matmul(ad.reshape(i_vec, (1, i_vec.data.shape[0])), w_proj)
-    logits = ad.reshape(ad.matmul(cand_emb, ad.transpose(u)), (cand_emb.data.shape[0],))
-    return ad.softmax(logits), logits
+    return ad.reshape(ad.matmul(cand_emb, ad.transpose(u)), (cand_emb.data.shape[0],))
 
 
 @dataclass
@@ -384,7 +383,6 @@ class SessionLossParts:
     loss: Tensor
     ce: float
     lz: float
-    prob_clamped: int
     pdf_clamped: int
 
 
@@ -423,22 +421,23 @@ def session_loss(
     else:
         cand = candidate_ids(data.n_items, sess_history, sess_gt)
     cand_emb = infer_candidate_embeddings(params, data, cand)
-    z_hat, _ = score_candidates(fwd.i, params.w_proj, cand_emb)
+    logits = score_candidates(fwd.i, params.w_proj, cand_emb)
     pos = int(np.searchsorted(cand, sess_gt))
-    p_gt = ad.pick(z_hat, pos)
-    prob_clamped = int(float(p_gt.data) < PROB_FLOOR)
-    ce = ad.neg(ad.log(ad.clamp_min(p_gt, PROB_FLOOR)))
-    pdf_clamped = fwd.intent.clamped
+    # logsumexp(logits) - logit_gt; the shift is held constant, so the
+    # gradient is exactly softmax - onehot.
+    top = Tensor(logits.data.max())
+    lse = ad.add(ad.log(ad.reduce_sum(ad.exp(ad.sub(logits, top)))), top)
+    ce = ad.sub(lse, ad.pick(logits, pos))
 
     if cfg.gamma >= 1.0:
-        return SessionLossParts(ce, float(ce.data), 0.0, prob_clamped, pdf_clamped)
+        return SessionLossParts(ce, float(ce.data), 0.0, fwd.intent.clamped)
 
     atr = ad.matmul(Tensor(data.attr_matrix[fwd.graph.nodes]), params.attr_table)
     lz = l_zero(fwd.v, atr, params.theta)
     loss = ad.add(
         ad.mul(Tensor(cfg.gamma), ce), ad.mul(Tensor(1.0 - cfg.gamma), lz)
     )
-    return SessionLossParts(loss, float(ce.data), float(lz.data), prob_clamped, pdf_clamped)
+    return SessionLossParts(loss, float(ce.data), float(lz.data), fwd.intent.clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +448,6 @@ def session_loss(
 class TrainResult:
     params: ModelParams
     epoch_log: list[dict]
-    counters: dict[str, int] = field(default_factory=dict)
 
 
 def train(
@@ -472,7 +470,6 @@ def train(
     opt = Adam(lr=cfg.lr)
     root = Rng(cfg.seed, "train")
     beta_root = Rng(cfg.beta_seed_effective, "beta")
-    counters = {"prob_clamped": 0, "pdf_clamped": 0}
     epoch_log: list[dict] = []
     n = len(data.train)
 
@@ -481,6 +478,7 @@ def train(
         order = root.derive("shuffle", epoch).permutation(n)
         ce_sum = 0.0
         lz_sum = 0.0
+        pdf_clamped = 0
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]
             zero_grads(trainable)
@@ -508,19 +506,19 @@ def train(
                     ) from e
                 ce_sum += parts.ce
                 lz_sum += parts.lz
-                counters["prob_clamped"] += parts.prob_clamped
-                counters["pdf_clamped"] += parts.pdf_clamped
+                pdf_clamped += parts.pdf_clamped
             opt.step(trainable)
         entry = {
             "epoch": epoch,
             "loss_ce": ce_sum / n,
             "loss_zero": lz_sum / n,
+            "pdf_clamped": pdf_clamped,
             "seconds": round(time.perf_counter() - started, 6),
         }
         epoch_log.append(entry)
         if progress is not None:
             progress(entry)
-    return TrainResult(params=params, epoch_log=epoch_log, counters=counters)
+    return TrainResult(params=params, epoch_log=epoch_log)
 
 
 def ablate(data: PreparedData, cfg: TrainConfig, which: str) -> TrainResult:

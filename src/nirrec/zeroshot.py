@@ -76,34 +76,22 @@ def theta_forward(params: ThetaParams, atr: Tensor) -> Tensor:
 
 
 def bhattacharyya(v: Tensor, v_star: Tensor) -> Tensor:
-    """Distribution distance −log Σ√(p_j q_j) after softmax normalization.
+    """Distribution distance −log Σ_j √(p_j q_j) after softmax normalization,
+    of two vectors or summed over the rows of two (n, d) matrices.
 
-    Returns a constant 0 when the overlap coefficient is at or below the
-    underflow threshold, mirroring the defined zero branch for disjoint
+    A row whose overlap coefficient is at or below the underflow threshold
+    contributes a constant 0, the defined zero branch for disjoint
     distributions.
     """
-    if v.ndim != 1 or v_star.ndim != 1 or v.shape != v_star.shape:
-        raise DimensionError(f"bhattacharyya needs equal 1-d vectors, got {v.shape} and {v_star.shape}")
+    if v.ndim not in (1, 2) or v.shape != v_star.shape:
+        raise DimensionError(f"bhattacharyya needs equal 1-d or 2-d inputs, got {v.shape}, {v_star.shape}")
     p = ad.softmax(v)
     q = ad.softmax(v_star)
-    rho = ad.reduce_sum(ad.sqrt(ad.clamp_min(ad.mul(p, q), _PROD_FLOOR)))
-    if rho.item() <= BC_EPS:
-        return Tensor(0.0)
-    return ad.neg(ad.log(rho))
+    rho = ad.reduce_sum(ad.sqrt(ad.clamp_min(ad.mul(p, q), _PROD_FLOOR)), axis=-1)
+    keep = Tensor(rho.data > BC_EPS)
+    return ad.reduce_sum(ad.mul(ad.neg(ad.log(rho)), keep))
 
 
 def l_zero(v_nodes: Tensor, atr_nodes: Tensor, params: ThetaParams) -> Tensor:
-    """Σ_i BC(v_i, θ(atr_i)) over a session's nodes."""
-    if v_nodes.shape[0] != atr_nodes.shape[0]:
-        raise DimensionError(
-            f"node embeddings {v_nodes.shape} and attributes {atr_nodes.shape} disagree on rows"
-        )
-    v_star = theta_forward(params, atr_nodes)
-    n, d = v_nodes.shape
-    total = None
-    for i in range(n):
-        vi = ad.reshape(ad.take_rows(v_nodes, [i]), (d,))
-        si = ad.reshape(ad.take_rows(v_star, [i]), (d,))
-        term = bhattacharyya(vi, si)
-        total = term if total is None else ad.add(total, term)
-    return total
+    """Σ_i BC(v_i, θ(atr_i)) over a session's nodes, one row per node."""
+    return bhattacharyya(v_nodes, theta_forward(params, atr_nodes))

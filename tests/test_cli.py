@@ -190,6 +190,37 @@ class TestExitCodes:
                 "--out", str(tmp_path / "s")]
         assert main(argv) == 1
 
+    @pytest.mark.parametrize("command, line", [
+        ("prepare", "levels = 4,x,2"),
+        ("train", "d = abc"),
+        ("eval", "d = abc"),
+    ])
+    def test_malformed_config_value_returns_one_and_names_it(
+        self, corpus, shards, checkpoint, tmp_path, capsys, command, line
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        inputs = {
+            "prepare": [str(corpus[0]), str(corpus[1])],
+            "train": [str(shards)],
+            "eval": [str(shards), str(checkpoint)],
+        }[command]
+        argv = [command, *inputs, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        key, value = (part.strip() for part in line.split("="))
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(value) in err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ["--bogus"]),
+        ("train", ["--d", "abc"]),
+        ("prepare", ["--levels", "4,x,2"]),
+    ])
+    def test_usage_error_returns_one(self, corpus, shards, tmp_path, command, extra):
+        """A malformed command line is not an ingestion error (2)."""
+        inputs = {"prepare": [str(corpus[0]), str(corpus[1])], "train": [str(shards)]}[command]
+        assert main([command, *inputs, *extra, "--out", str(tmp_path / "o")]) == 1
+
 
 class TestManifests:
     """Each command emits exactly one manifest tying outputs to inputs."""

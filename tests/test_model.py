@@ -20,6 +20,7 @@ from nirrec.model import (
     TrainConfig,
     apply_ablation,
     candidate_ids,
+    forward,
     infer_candidate_embeddings,
     init_params,
     load_params,
@@ -115,20 +116,20 @@ class TestScoring:
     def test_single_candidate_scores_one(self):
         emb = infer_candidate_embeddings(self.params, self.data, np.array([4]))
         i_vec = Tensor(np.random.default_rng(0).normal(size=8))
-        z, _ = score_candidates(i_vec, self.params.w_proj, emb)
+        z = ad.softmax(score_candidates(i_vec, self.params.w_proj, emb))
         np.testing.assert_allclose(z.data, [1.0])
 
     def test_identical_candidates_split_evenly(self):
         emb = infer_candidate_embeddings(self.params, self.data, np.array([4, 4]))
         i_vec = Tensor(np.random.default_rng(1).normal(size=8))
-        z, _ = score_candidates(i_vec, self.params.w_proj, emb)
+        z = ad.softmax(score_candidates(i_vec, self.params.w_proj, emb))
         np.testing.assert_allclose(z.data, [0.5, 0.5], rtol=1e-12)
 
     def test_logits_match_dot_product_oracle(self):
         cand = np.array([4, 5, 6, 7])
         emb = infer_candidate_embeddings(self.params, self.data, cand)
         i_vec = Tensor(np.random.default_rng(2).normal(size=8))
-        _, logits = score_candidates(i_vec, self.params.w_proj, emb)
+        logits = score_candidates(i_vec, self.params.w_proj, emb)
         u = i_vec.data @ self.params.w_proj.data
         want = emb.data @ u
         np.testing.assert_allclose(logits.data, want, rtol=1e-12)
@@ -137,7 +138,7 @@ class TestScoring:
         cand = candidate_ids(self.data.n_items, [1, 2, 3])
         emb = infer_candidate_embeddings(self.params, self.data, cand)
         i_vec = Tensor(np.random.default_rng(3).normal(size=8))
-        z, _ = score_candidates(i_vec, self.params.w_proj, emb)
+        z = ad.softmax(score_candidates(i_vec, self.params.w_proj, emb))
         assert z.data.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(z.data > 0)
 
@@ -192,6 +193,31 @@ class TestSessionLoss:
         """An engineered probability of 1 on the ground truth zeroes the
         cross-entropy term by construction of -log."""
         assert float(ad.neg(ad.log(Tensor(1.0))).data) == 0.0
+
+    def test_cross_entropy_exact_when_probability_underflows(self):
+        """A single-node history has Beta std 0, so its logits span
+        thousands; for the lowest-logit candidate the softmax probability
+        is far below 1e-300.  The loss is still logsumexp - logit_gt and
+        still moves W_I."""
+        data = tiny_data(n_items=40)
+        cfg = small_cfg(gamma=1.0)
+        params = init_params(data, cfg)
+        history = [3, 3]
+        cand = candidate_ids(data.n_items, history)
+        fwd = forward(history, params, data, cfg.lambda_, beta_mode="mean")
+        logits = score_candidates(
+            fwd.i, params.w_proj, infer_candidate_embeddings(params, data, cand)
+        ).data
+        gt = int(np.argmin(logits))
+        with ad.Tape() as tape:
+            parts = session_loss(
+                history, int(cand[gt]), params, data, cfg, rng=None, beta_mode="mean"
+            )
+            tape.backward(parts.loss)
+        want = np.logaddexp.reduce(logits) - logits[gt]
+        assert want > -np.log(1e-300)
+        assert parts.ce == pytest.approx(want, rel=1e-9)
+        assert np.any(params.w_proj.grad != 0.0)
 
     def test_deterministic_in_mean_mode(self):
         cfg = small_cfg()
@@ -326,7 +352,8 @@ class TestTraining:
         result = train(data, small_cfg(epochs=3))
         assert len(result.epoch_log) == 3
         for i, entry in enumerate(result.epoch_log, start=1):
-            assert set(entry) == {"epoch", "loss_ce", "loss_zero", "seconds"}
+            assert set(entry) == {"epoch", "loss_ce", "loss_zero", "pdf_clamped", "seconds"}
+            assert entry["pdf_clamped"] >= 0
             assert entry["epoch"] == i
             assert entry["seconds"] >= 0.0
 

@@ -88,12 +88,17 @@ class TestClosedFormValues:
         np.testing.assert_allclose(big, [1.0, 0.0], atol=1e-12)
 
     def test_softmax_is_probability_vector(self):
-        """Outputs are nonnegative and sum to 1 within 1e-9."""
+        """Outputs are nonnegative and sum to 1 within 1e-9; a matrix is
+        normalized row by row."""
         rng = np.random.default_rng(11)
         for _ in range(50):
             y = ad.softmax(ad.Tensor(rng.uniform(-20, 20, size=rng.integers(1, 9)))).data
             assert np.all(y >= 0.0)
             assert abs(y.sum() - 1.0) < 1e-9
+        m = rng.uniform(-20, 20, size=(4, 7))
+        rows = ad.softmax(ad.Tensor(m)).data
+        for r in range(4):
+            np.testing.assert_array_equal(rows[r], ad.softmax(ad.Tensor(m[r])).data)
 
     def test_log_gamma_tensor_values(self):
         """ln Γ(1) = 0 and ln Γ(5) = ln 24."""
@@ -192,11 +197,12 @@ class TestGradientsMatchFiniteDifferences:
         np.testing.assert_array_equal(g, np.zeros(4))
 
     def test_softmax_jacobian_vector_product(self):
-        """JVP of softmax against finite differences, rel. error < 1e-5."""
+        """JVP of softmax against finite differences, rel. error < 1e-5,
+        for a vector and row-wise for a matrix."""
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            x = rng.uniform(-2, 2, size=6)
-            s = rng.uniform(-1, 1, size=6)
+        for shape in [(6,)] * 10 + [(3, 6)] * 5:
+            x = rng.uniform(-2, 2, size=shape)
+            s = rng.uniform(-1, 1, size=shape)
 
             def f(t, s=s):
                 return ad.reduce_sum(ad.mul(ad.softmax(t), ad.Tensor(s)))
@@ -298,9 +304,9 @@ class TestErrorSurfaces:
             ad.reduce_sum(ad.Tensor(np.zeros((0, 3))), axis=0)
 
     def test_structural_errors(self):
-        """softmax needs 1-d input; pick and take_rows check bounds."""
+        """softmax needs 1-d or 2-d input; pick and take_rows check bounds."""
         with pytest.raises(DimensionError):
-            ad.softmax(ad.Tensor(np.ones((2, 2))))
+            ad.softmax(ad.Tensor(np.ones((2, 2, 2))))
         with pytest.raises(DomainError):
             ad.pick(ad.Tensor([1.0, 2.0]), 2)
         with pytest.raises(DomainError):

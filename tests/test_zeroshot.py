@@ -9,7 +9,7 @@ import pytest
 import nirrec.autodiff as ad
 from nirrec.autodiff import Adam, Rng, Tensor, zero_grads
 from nirrec.errors import DimensionError
-from nirrec.zeroshot import ThetaParams, bhattacharyya, init_theta, l_zero, theta_forward
+from nirrec.zeroshot import BC_EPS, ThetaParams, bhattacharyya, init_theta, l_zero, theta_forward
 
 D_A = 3
 D = 5
@@ -189,6 +189,47 @@ class TestLZero:
         v_star = np.tanh(atr @ theta.h_w.data + theta.h_b.data) @ theta.o_w.data + theta.o_b.data
         want = sum(bc_oracle(v[i], v_star[i])[0] for i in range(3))
         np.testing.assert_allclose(l_zero(Tensor(v), Tensor(atr), theta).item(), want, atol=1e-12)
+
+    def test_zero_branch_row_beside_normal_rows(self):
+        """A row with ρ ≤ BC_EPS adds 0 and takes no gradient; the total is
+        the 1-d distances summed over rows and matches finite differences."""
+        theta = init_theta(D_A, D, Rng(13, "t"))
+        theta.o_b.data[:] = [40.0, -40.0, 0.0, 0.0, 0.0]
+        rng = np.random.default_rng(13)
+        v = rng.normal(size=(3, D))
+        v[1] = [-40.0, 40.0, 0.0, 0.0, 0.0]
+        atr = Tensor(rng.normal(size=(3, D_A)))
+        v_star = theta_forward(theta, atr).data
+        rows = [bhattacharyya(Tensor(v[i]), Tensor(v_star[i])).item() for i in range(3)]
+        assert bc_oracle(v[1], v_star[1])[1] <= BC_EPS
+        assert rows[1] == 0.0 and rows[0] > 0.0 and rows[2] > 0.0
+        np.testing.assert_allclose(l_zero(Tensor(v), atr, theta).item(), sum(rows), rtol=1e-12)
+
+        vt = Tensor(v, requires_grad=True)
+        with ad.Tape() as tape:
+            tape.backward(l_zero(vt, atr, theta))
+        h = 1e-5
+        numeric = np.zeros_like(v)
+        for idx in np.ndindex(*v.shape):
+            step = np.zeros_like(v)
+            step[idx] = h
+            up = l_zero(Tensor(v + step), atr, theta).item()
+            down = l_zero(Tensor(v - step), atr, theta).item()
+            numeric[idx] = (up - down) / (2 * h)
+        np.testing.assert_allclose(vt.grad, numeric, rtol=1e-4, atol=1e-8)
+        np.testing.assert_array_equal(vt.grad[1], np.zeros(D))
+
+    def test_tape_length_independent_of_node_count(self):
+        """The nodes are one row-wise computation, not one per node."""
+        theta = init_theta(D_A, D, Rng(14, "t"))
+        rng = np.random.default_rng(14)
+        lengths = []
+        for n in (2, 30):
+            v = Tensor(rng.normal(size=(n, D)), requires_grad=True)
+            with ad.Tape() as tape:
+                l_zero(v, Tensor(rng.normal(size=(n, D_A))), theta)
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
 
     def test_training_theta_alone_decreases_loss(self):
         """100 Adam steps on L_zero with frozen node embeddings shrink it."""
