@@ -378,8 +378,12 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def rule(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        # A constant operand (gathered attribute rows, say) can be as wide
+        # as the catalog: skip its product instead of discarding it.
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _record(out, (a, b), rule)
 

@@ -144,9 +144,14 @@ def evaluate(
     the report depends only on (params, data, config).  Sessions whose
     ground truth cannot be scored (nothing left to rank, or an unknown
     ground-truth id) are skipped and counted.
+
+    θ does not depend on the session: it maps the catalog once per call,
+    and each session scores that table and keeps its candidates' logits.
     """
     if not data.test:
         raise EvaluationError("test split is empty")
+    # Row r holds item r + 1; the UNKNOWN item 0 is never a candidate.
+    emb = infer_candidate_embeddings(params, data, np.arange(1, data.n_items))
     results: list[RankedResult] = []
     skipped = 0
     for sess in data.test:
@@ -166,10 +171,9 @@ def evaluate(
             propagate_taxonomy=cfg.propagate_taxonomy,
             session_id=sess.session_id,
         )
-        emb = infer_candidate_embeddings(params, data, cand)
         # Rank the logits: softmax rounding can tie candidates they order.
-        logits = score_candidates(fwd.i, params.w_proj, emb)
-        results.append(_rank_ids(sess.session_id, cand, logits.data, sess.gt))
+        logits = score_candidates(fwd.i, params.w_proj, emb).data[cand - 1]
+        results.append(_rank_ids(sess.session_id, cand, logits, sess.gt))
     if not results:
         raise EvaluationError(f"all {skipped} test sessions were skipped")
     report = MetricsReport(

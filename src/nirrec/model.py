@@ -341,10 +341,12 @@ def forward(
 def candidate_ids(n_items: int, history: list[int], gt: int | None = None) -> np.ndarray:
     """Full-vocabulary candidate pool: every real item not in the history,
     ascending by id (index 0 is the reserved UNKNOWN entry, never scored)."""
-    pool = np.setdiff1d(np.arange(1, n_items, dtype=np.int64), np.asarray(history, dtype=np.int64))
-    if gt is not None and gt not in pool:
+    keep = np.ones(n_items, dtype=bool)
+    keep[0] = False
+    keep[np.asarray(history, dtype=np.int64)] = False
+    if gt is not None and not (0 < gt < n_items and keep[gt]):
         raise DomainError(f"ground truth {gt} excluded from the candidate pool")
-    return pool
+    return np.flatnonzero(keep)
 
 
 def sampled_candidate_ids(
@@ -356,6 +358,17 @@ def sampled_candidate_ids(
     take = min(negatives, len(others))
     negs = rng.choice(others, size=take, replace=False) if take else np.zeros(0, dtype=np.int64)
     return np.sort(np.concatenate([[gt], negs.astype(np.int64)]))
+
+
+def session_candidates(
+    history: list[int], gt: int, n_items: int, cfg: TrainConfig, neg_rng: Rng | None
+) -> np.ndarray:
+    """The training candidate ids of one session under ``cfg.candidate_mode``."""
+    if cfg.candidate_mode == "sampled":
+        if neg_rng is None:
+            raise ConfigurationError("sampled candidate mode needs an rng")
+        return sampled_candidate_ids(n_items, history, gt, cfg.negatives, neg_rng)
+    return candidate_ids(n_items, history, gt)
 
 
 def infer_candidate_embeddings(
@@ -397,9 +410,17 @@ def session_loss(
     session_id: str = "",
     draws: np.ndarray | None = None,
     neg_rng: Rng | None = None,
+    cand: np.ndarray | None = None,
+    table: tuple[np.ndarray, Tensor] | None = None,
 ) -> SessionLossParts:
     """Joint loss for one session: weighted cross-entropy plus the
-    node-level embedding-agreement term (skipped entirely at gamma = 1)."""
+    node-level embedding-agreement term (skipped entirely at gamma = 1).
+
+    ``cand`` is the session's candidate ids (drawn here when omitted).
+    ``table`` is ``(rows, emb)``: θ embeddings ``emb`` of the sorted item
+    ids ``rows``, a superset of ``cand`` that a batch shares.  Without it
+    the table is θ over ``cand`` alone, on the caller's tape.
+    """
     fwd = forward(
         sess_history,
         params,
@@ -411,17 +432,15 @@ def session_loss(
         session_id=session_id,
         draws=draws,
     )
-    if cfg.candidate_mode == "sampled":
-        neg_rng = neg_rng or rng
-        if neg_rng is None:
-            raise ConfigurationError("sampled candidate mode needs an rng")
-        cand = sampled_candidate_ids(
-            data.n_items, sess_history, sess_gt, cfg.negatives, neg_rng
-        )
-    else:
-        cand = candidate_ids(data.n_items, sess_history, sess_gt)
-    cand_emb = infer_candidate_embeddings(params, data, cand)
-    logits = score_candidates(fwd.i, params.w_proj, cand_emb)
+    if cand is None:
+        cand = session_candidates(sess_history, sess_gt, data.n_items, cfg, neg_rng or rng)
+    if table is None:
+        table = (cand, infer_candidate_embeddings(params, data, cand))
+    rows, emb = table
+    # Score every table row, then gather the candidates' logits: cheaper
+    # than gathering, and scattering back, their embedding rows.
+    scores = score_candidates(fwd.i, params.w_proj, emb)
+    logits = ad.take_rows(scores, np.searchsorted(rows, cand))
     pos = int(np.searchsorted(cand, sess_gt))
     # logsumexp(logits) - logit_gt; the shift is held constant, so the
     # gradient is exactly softmax - onehot.
@@ -458,10 +477,14 @@ def train(
 ) -> TrainResult:
     """Seeded mini-batch training over the prepared train split.
 
-    Gradients for a batch are the mean of per-session gradients (each
-    session's backward pass is seeded with 1/batch_len); one Adam step is
-    taken per batch.  Any non-finite value aborts with the offending
-    session id.
+    θ does not depend on the session, so each batch maps it once over the
+    sorted union of its sessions' candidate ids, on a tape of its own.
+    Each session scores a leaf copy of that table on its own tape, keeps
+    its candidates' logits and backpropagates with seed 1/batch_len into
+    the copy; one backward through θ then carries the summed table
+    gradient, and one Adam step is taken per batch.  The gradient is the
+    mean of the per-session gradients.  A non-finite value aborts naming
+    the session, or the batch's sessions for the shared θ pass.
     """
     if not data.train:
         raise TrainingError("training split is empty")
@@ -479,11 +502,33 @@ def train(
         ce_sum = 0.0
         lz_sum = 0.0
         pdf_clamped = 0
+        theta_rows = 0
         for lo in range(0, n, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
+            batch = [data.train[int(idx)] for idx in order[lo : lo + cfg.batch_size]]
             zero_grads(trainable)
-            for idx in batch:
-                sess = data.train[int(idx)]
+            cands = [
+                session_candidates(
+                    sess.history, sess.gt, data.n_items, cfg,
+                    root.derive("negatives", epoch, sess.session_id),
+                )
+                for sess in batch
+            ]
+            in_rows = np.zeros(data.n_items, dtype=bool)
+            for cand in cands:
+                in_rows[cand] = True
+            rows = np.flatnonzero(in_rows)
+            try:
+                with ad.Tape() as theta_tape:
+                    emb = infer_candidate_embeddings(params, data, rows)
+            except NonFiniteError as e:
+                ids = ", ".join(f"'{sess.session_id}'" for sess in batch)
+                raise TrainingError(
+                    f"non-finite value in the shared θ pass of the batch of sessions "
+                    f"[{ids}] (epoch {epoch}): {e}"
+                ) from e
+            table = Tensor(emb.data, requires_grad=True)
+            theta_rows += len(rows)
+            for sess, cand in zip(batch, cands):
                 srng = beta_root.derive(epoch, sess.session_id)
                 try:
                     with ad.Tape() as tape:
@@ -496,7 +541,8 @@ def train(
                             rng=srng,
                             beta_mode="sample",
                             session_id=sess.session_id,
-                            neg_rng=root.derive("negatives", epoch, sess.session_id),
+                            cand=cand,
+                            table=(rows, table),
                         )
                         tape.backward(parts.loss, seed=np.float64(1.0 / len(batch)))
                 except NonFiniteError as e:
@@ -507,13 +553,17 @@ def train(
                 ce_sum += parts.ce
                 lz_sum += parts.lz
                 pdf_clamped += parts.pdf_clamped
+            theta_tape.backward(emb, seed=table.grad)
             opt.step(trainable)
+        seconds = time.perf_counter() - started
         entry = {
             "epoch": epoch,
             "loss_ce": ce_sum / n,
             "loss_zero": lz_sum / n,
             "pdf_clamped": pdf_clamped,
-            "seconds": round(time.perf_counter() - started, 6),
+            "theta_rows": theta_rows,
+            "seconds": round(seconds, 6),
+            "sessions_per_s": round(n / seconds, 3),
         }
         epoch_log.append(entry)
         if progress is not None:

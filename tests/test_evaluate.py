@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import nirrec.autodiff as ad
+from nirrec.autodiff import Rng
+from nirrec.datagen import write_toy_dataset
 from nirrec.errors import DomainError, EvaluationError
 from nirrec.evaluate import (
     MetricsReport,
@@ -22,7 +24,7 @@ from nirrec.evaluate import (
     write_plotdata_csv,
     write_rankings_csv,
 )
-from nirrec.ingest import EncodedSession
+from nirrec.ingest import EncodedSession, prepare
 from nirrec.model import (
     candidate_ids,
     forward,
@@ -220,6 +222,49 @@ class TestEvaluatePipeline:
         r1 = evaluate_sampled(self.params, self.data, self.cfg, repeats=2)
         r2 = evaluate_sampled(self.params, self.data, self.cfg, repeats=2)
         assert r1.p == r2.p and r1.p_std == r2.p_std
+
+    def test_theta_mapped_once_per_call(self, monkeypatch):
+        import nirrec.evaluate as eval_mod
+
+        rows = []
+        real = eval_mod.infer_candidate_embeddings
+
+        def counting(params, data, cand):
+            rows.append(len(cand))
+            return real(params, data, cand)
+
+        monkeypatch.setattr(eval_mod, "infer_candidate_embeddings", counting)
+        evaluate(self.params, self.data, self.cfg)
+        assert rows == [self.data.n_items - 1]
+        evaluate_sampled(self.params, self.data, self.cfg, repeats=3)
+        assert len(rows) == 1 + 3
+
+
+class TestSharedCatalogTable:
+    """evaluate maps θ over the catalog once per call; every session must
+    rank exactly as it does on the logits of θ over its own candidates."""
+
+    @pytest.mark.parametrize("beta_mode", ["mean", "sample"])
+    def test_rankings_match_per_session_theta(self, tmp_path, beta_mode):
+        data = prepare(*write_toy_dataset(tmp_path))
+        cfg = small_cfg(epochs=1, batch_size=8)
+        params = train(data, cfg).params
+        rng = Rng(5, "eval") if beta_mode == "sample" else None
+        report = evaluate(params, data, cfg, beta_mode=beta_mode, rng=rng)
+        assert report.skipped == 0 and len(report.results) == len(data.test)
+        for res, sess in zip(report.results, data.test):
+            cand = candidate_ids(data.n_items, sess.history)
+            fwd = forward(
+                sess.history, params, data, cfg.lambda_,
+                rng=None if rng is None else rng.derive(sess.session_id),
+                beta_mode=beta_mode, session_id=sess.session_id,
+            )
+            logits = score_candidates(
+                fwd.i, params.w_proj, infer_candidate_embeddings(params, data, cand)
+            ).data
+            ranking = cand[np.lexsort((cand, -logits))]
+            np.testing.assert_array_equal(res.ranking, ranking)
+            assert res.gt_rank == 1 + int(np.flatnonzero(ranking == sess.gt)[0])
 
 
 class TestRankOnLogits:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nirrec.autodiff as ad
-from nirrec.autodiff import Rng, Tensor, load_tensors
+from nirrec.autodiff import Rng, Tensor, load_tensors, zero_grads
 from nirrec.errors import (
     ConfigurationError,
     DomainError,
@@ -17,6 +17,7 @@ from nirrec.errors import (
 )
 from nirrec.ingest import EncodedSession, PreparedData
 from nirrec.model import (
+    CANDIDATE_MODES,
     TrainConfig,
     apply_ablation,
     candidate_ids,
@@ -26,6 +27,7 @@ from nirrec.model import (
     load_params,
     sampled_candidate_ids,
     score_candidates,
+    session_candidates,
     session_loss,
     train,
 )
@@ -105,6 +107,35 @@ class TestCandidatePools:
     def test_sampled_small_pool_takes_everything(self):
         cand = sampled_candidate_ids(6, [1], gt=2, negatives=99, rng=Rng(0, "n"))
         np.testing.assert_array_equal(cand, [2, 3, 4, 5])
+
+    def test_pool_equals_set_difference_reference(self):
+        """The pool is the catalog minus the history as np.setdiff1d
+        computes it, in values and dtype, on random histories with
+        repeats; so sampling draws the same negatives from it.  The ground
+        truth is checked at both ends of the catalog and out of range."""
+        n = 30
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            history = rng.integers(1, n, size=int(rng.integers(1, 12))).tolist()
+            want = np.setdiff1d(np.arange(1, n, dtype=np.int64), np.asarray(history))
+            got = candidate_ids(n, history)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+            for gt in (1, n - 1):
+                if gt not in want:
+                    with pytest.raises(DomainError, match="excluded"):
+                        candidate_ids(n, history, gt)
+                    continue
+                np.testing.assert_array_equal(candidate_ids(n, history, gt), want)
+                others = want[want != gt]
+                negs = Rng(trial, "n").choice(others, size=min(5, len(others)), replace=False)
+                np.testing.assert_array_equal(
+                    sampled_candidate_ids(n, history, gt, 5, Rng(trial, "n")),
+                    np.sort(np.concatenate([[gt], negs])),
+                )
+        for gt in (0, n, -1):
+            with pytest.raises(DomainError, match="excluded"):
+                candidate_ids(n, [2, 3], gt)
 
 
 class TestScoring:
@@ -352,10 +383,16 @@ class TestTraining:
         result = train(data, small_cfg(epochs=3))
         assert len(result.epoch_log) == 3
         for i, entry in enumerate(result.epoch_log, start=1):
-            assert set(entry) == {"epoch", "loss_ce", "loss_zero", "pdf_clamped", "seconds"}
+            assert set(entry) == {
+                "epoch", "loss_ce", "loss_zero", "pdf_clamped", "theta_rows",
+                "seconds", "sessions_per_s",
+            }
             assert entry["pdf_clamped"] >= 0
             assert entry["epoch"] == i
             assert entry["seconds"] >= 0.0
+            assert entry["sessions_per_s"] > 0.0
+            # two batches of two, each mapping θ over at most every real item
+            assert 0 < entry["theta_rows"] <= 2 * (data.n_items - 1)
 
     def test_same_seed_same_checkpoint(self, tmp_path):
         data = tiny_data()
@@ -388,6 +425,21 @@ class TestTraining:
         data = tiny_data()
         with pytest.raises(TrainingError, match="session 's"):
             train(data, small_cfg(epochs=1))
+
+    def test_non_finite_theta_pass_names_batch(self, monkeypatch):
+        """The shared θ pass belongs to no single session: a fault there
+        names the epoch and every session of the batch."""
+        import nirrec.model as model_mod
+
+        def explode(*args, **kwargs):
+            raise NonFiniteError("synthetic overflow")
+
+        monkeypatch.setattr(model_mod, "infer_candidate_embeddings", explode)
+        data = tiny_data()
+        with pytest.raises(TrainingError, match=r"shared θ pass.*epoch 1") as info:
+            train(data, small_cfg(epochs=1, batch_size=4))
+        for sess in data.train:
+            assert f"'{sess.session_id}'" in str(info.value)
 
     def test_empty_train_split_rejected(self):
         data = tiny_data()
@@ -434,6 +486,58 @@ class TestTraining:
         frozen = params.attr_table.data.copy()
         result = train(data, cfg, params=params)
         np.testing.assert_array_equal(result.params.attr_table.data, frozen)
+
+
+class TestSharedThetaTable:
+    """Training maps θ once per batch over the union of its sessions'
+    candidates; the gradients must equal those of per-session tapes that
+    each map θ over their own candidates."""
+
+    @pytest.mark.parametrize("mode", CANDIDATE_MODES)
+    def test_batch_gradients_match_per_session_tapes(self, mode):
+        data = tiny_data(n_items=40)
+        cfg = small_cfg(candidate_mode=mode, negatives=3, batch_size=4, epochs=1)
+        shared = init_params(data, cfg)
+        # One batch: the gradients are still in place after the Adam step.
+        log = train(data, cfg, params=shared).epoch_log
+
+        ref = init_params(data, cfg)
+        zero_grads(ref.trainable())
+        root = Rng(cfg.seed, "train")
+        beta_root = Rng(cfg.beta_seed_effective, "beta")
+        union = set()
+        for sess in data.train:
+            negatives = root.derive("negatives", 1, sess.session_id)
+            union |= set(session_candidates(sess.history, sess.gt, data.n_items, cfg, negatives))
+            with ad.Tape() as tape:
+                parts = session_loss(
+                    sess.history, sess.gt, ref, data, cfg,
+                    rng=beta_root.derive(1, sess.session_id), beta_mode="sample",
+                    session_id=sess.session_id,
+                    neg_rng=root.derive("negatives", 1, sess.session_id),
+                )
+                tape.backward(parts.loss, seed=np.float64(1.0 / len(data.train)))
+        assert log[0]["theta_rows"] == len(union)
+        for name, p in ref.trainable().items():
+            assert np.any(p.grad != 0.0), name
+            np.testing.assert_allclose(
+                shared.trainable()[name].grad, p.grad, rtol=0, atol=1e-10, err_msg=name
+            )
+
+    def test_theta_mapped_once_per_batch(self, monkeypatch):
+        import nirrec.model as model_mod
+
+        rows = []
+        real = model_mod.infer_candidate_embeddings
+
+        def counting(params, data, cand):
+            rows.append(len(cand))
+            return real(params, data, cand)
+
+        monkeypatch.setattr(model_mod, "infer_candidate_embeddings", counting)
+        log = train(tiny_data(), small_cfg(epochs=3, batch_size=2)).epoch_log
+        assert len(rows) == 3 * 2
+        assert [e["theta_rows"] for e in log] == [sum(rows[i : i + 2]) for i in (0, 2, 4)]
 
 
 class TestCheckpointMetadata:

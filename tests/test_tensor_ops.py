@@ -4,6 +4,8 @@ Every differentiable op is verified against central finite differences on
 random inputs; tape behavior is verified against hand-expanded chains.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,32 @@ class TestGradientsMatchFiniteDifferences:
         b = rng.uniform(-2, 2, size=(5, 2))
         check_unary(lambda t: ad.reduce_sum(ad.matmul(t, ad.Tensor(b))), a, rtol=1e-5)
         check_unary(lambda t: ad.reduce_sum(ad.matmul(ad.Tensor(a), t)), b, rtol=1e-5)
+
+    def test_matmul_constant_operand_gets_no_gradient_product(self):
+        """A constant operand receives no grad, and its gradient product,
+        as large as the operand itself, is never computed; the other
+        operand still matches finite differences."""
+        rng = np.random.default_rng(5)
+        wide = rng.uniform(-1, 1, size=(400, 300))
+        w = rng.uniform(-1, 1, size=(300, 2))
+        for const_left in (True, False):
+            c = ad.Tensor(wide if const_left else wide.T)
+
+            def loss(t, c=c, const_left=const_left):
+                return ad.reduce_sum(ad.matmul(c, t) if const_left else ad.matmul(t, c))
+
+            x = ad.Tensor(w if const_left else w.T, requires_grad=True)
+            with ad.Tape() as tape:
+                out = loss(x)
+                tracemalloc.start()
+                try:
+                    tape.backward(out)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert c.grad is None
+            assert peak < wide.nbytes / 4
+            check_unary(loss, x.data, rtol=1e-5)
 
     def test_structural_op_gradients(self):
         """transpose, reshape, concat, take_rows, pick all pass gradients."""
