@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Rng
+from .autodiff import Rng, Tensor
 from .errors import DomainError, EvaluationError
 from .ingest import PreparedData
 from .model import (
@@ -29,6 +30,9 @@ from .model import (
     infer_candidate_embeddings,
     score_candidates,
 )
+
+
+SKIP_REASONS = ("no_candidates", "gt_not_candidate")
 
 
 @dataclass
@@ -96,6 +100,9 @@ class MetricsReport:
     p_std: dict[int, float] | None = None
     mrr_std: dict[int, float] | None = None
     precision_convention: str = "hit_rate"
+    # Why each skipped session was skipped (see SKIP_REASONS); None for a
+    # report written before the reasons were recorded.
+    skipped_reasons: dict[str, int] | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -111,6 +118,8 @@ class MetricsReport:
             out["p_std"] = {str(k): v for k, v in self.p_std.items()}
         if self.mrr_std is not None:
             out["mrr_std"] = {str(k): v for k, v in self.mrr_std.items()}
+        if self.skipped_reasons is not None:
+            out["skipped_reasons"] = dict(self.skipped_reasons)
         return out
 
     @classmethod
@@ -127,7 +136,48 @@ class MetricsReport:
             if "mrr_std" not in raw
             else {int(k): v for k, v in raw["mrr_std"].items()},
             precision_convention=raw.get("precision_convention", "hit_rate"),
+            skipped_reasons=raw.get("skipped_reasons"),
         )
+
+
+class CatalogIndex:
+    """θ over the catalog, items ``1..n_items-1`` (row r holds item r + 1),
+    with an exact stamp of what it was mapped from.
+
+    θ depends only on the parameters and the attribute matrix, never on
+    the session.  The stamp keeps copies of ``attr_table`` and the four θ
+    arrays, compared by value because Adam and finite-difference checks
+    write them in place, and a weak reference to the attribute matrix.
+    :class:`PreparedData` keeps that matrix read-only, so its identity
+    stands for its content, and a replaced matrix is freed, not kept alive.
+    """
+
+    def __init__(self, params: ModelParams, data: PreparedData) -> None:
+        self.arrays = tuple(a.copy() for a in _stamped_arrays(params))
+        self.matrix = weakref.ref(data.attr_matrix)
+        emb = infer_candidate_embeddings(params, data, np.arange(1, data.n_items))
+        emb.data.flags.writeable = False
+        self.table = Tensor(emb.data)
+
+    def matches(self, params: ModelParams, data: PreparedData) -> bool:
+        return (
+            self.matrix() is data.attr_matrix
+            and all(map(np.array_equal, self.arrays, _stamped_arrays(params)))
+        )
+
+
+def _stamped_arrays(params: ModelParams) -> tuple[np.ndarray, ...]:
+    return (params.attr_table.data, *(t.data for t in params.theta.named().values()))
+
+
+def catalog_table(params: ModelParams, data: PreparedData) -> Tensor:
+    """θ over ``data``'s catalog under ``params``: the table of the index
+    kept with ``params``, mapped again only when its stamp no longer
+    matches."""
+    index = params.catalog_index
+    if index is None or not index.matches(params, data):
+        index = params.catalog_index = CatalogIndex(params, data)
+    return index.table
 
 
 def evaluate(
@@ -142,23 +192,30 @@ def evaluate(
 
     The default deterministic path uses the Beta-mean attention mode, so
     the report depends only on (params, data, config).  Sessions whose
-    ground truth cannot be scored (nothing left to rank, or an unknown
-    ground-truth id) are skipped and counted.
+    ground truth cannot be scored are skipped and counted by reason:
+    ``no_candidates`` (the history covers the catalog) or
+    ``gt_not_candidate`` (an unknown ground-truth id, or one in the
+    history).
 
-    θ does not depend on the session: it maps the catalog once per call,
-    and each session scores that table and keeps its candidates' logits.
+    θ does not depend on the session: each session scores the catalog
+    table of :func:`catalog_table` and keeps its candidates' logits.  The
+    table is mapped once per parameter state, so repeated calls on
+    unchanged parameters and data (a one-session recommend request, the
+    repeats of :func:`evaluate_sampled`) map θ once between them.
     """
     if not data.test:
         raise EvaluationError("test split is empty")
-    # Row r holds item r + 1; the UNKNOWN item 0 is never a candidate.
-    emb = infer_candidate_embeddings(params, data, np.arange(1, data.n_items))
+    emb = catalog_table(params, data)
     results: list[RankedResult] = []
-    skipped = 0
+    reasons = dict.fromkeys(SKIP_REASONS, 0)
     for sess in data.test:
         cand = candidate_ids(data.n_items, sess.history)
-        pos = int(np.searchsorted(cand, sess.gt)) if len(cand) else 0
-        if len(cand) == 0 or pos >= len(cand) or cand[pos] != sess.gt:
-            skipped += 1
+        if len(cand) == 0:
+            reasons["no_candidates"] += 1
+            continue
+        pos = int(np.searchsorted(cand, sess.gt))
+        if pos >= len(cand) or cand[pos] != sess.gt:
+            reasons["gt_not_candidate"] += 1
             continue
         srng = rng.derive(sess.session_id) if rng is not None else None
         fwd = forward(
@@ -174,6 +231,7 @@ def evaluate(
         # Rank the logits: softmax rounding can tie candidates they order.
         logits = score_candidates(fwd.i, params.w_proj, emb).data[cand - 1]
         results.append(_rank_ids(sess.session_id, cand, logits, sess.gt))
+    skipped = sum(reasons.values())
     if not results:
         raise EvaluationError(f"all {skipped} test sessions were skipped")
     report = MetricsReport(
@@ -185,6 +243,7 @@ def evaluate(
         config=cfg.to_dict(),
         results=results,
         precision_convention="strict" if strict_precision else "hit_rate",
+        skipped_reasons=reasons,
     )
     return report
 
@@ -219,6 +278,7 @@ def evaluate_sampled(
         results=base.results,
         p_std={k: float(p_mat[k].std()) for k in ks},
         mrr_std={k: float(m_mat[k].std()) for k in ks},
+        skipped_reasons=base.skipped_reasons,
     )
 
 

@@ -424,6 +424,11 @@ class PreparedData:
     counts: dict[str, int]
     stats: dict
 
+    def __post_init__(self) -> None:
+        # Read-only, so the matrix's identity stands for its content: the
+        # θ catalog index of nirrec.evaluate is stamped with it.
+        self.attr_matrix.flags.writeable = False
+
     @property
     def n_items(self) -> int:
         return len(self.item_ids)

@@ -22,9 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -143,6 +143,9 @@ class ModelParams:
     config: TrainConfig
     vocab_digest: bytes
     attr_trainable: bool = True
+    # nirrec.evaluate's CatalogIndex: θ over the catalog and the stamp it
+    # was mapped from, rebuilt whenever the stamp stops matching.
+    catalog_index: Any = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:

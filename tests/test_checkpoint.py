@@ -1,5 +1,8 @@
 """Named-tensor container: round trips, canonical bytes, corruption checks."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,3 +81,87 @@ class TestCheckpointContainer:
         path = tmp_path / "empty.bin"
         save_tensors(path, {})
         assert load_tensors(path) == {}
+
+
+def reference_container_bytes(tensors) -> bytes:
+    """The container built in memory, entry by entry, as a reference for
+    the streaming writer."""
+    buf = bytearray(MAGIC)
+    buf += struct.pack("<Q", len(tensors))
+    for name, value in sorted(tensors.items()):
+        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
+        name_bytes = name.encode("utf-8")
+        buf += struct.pack("<I", len(name_bytes)) + name_bytes
+        buf += struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}Q", *arr.shape)
+        buf += arr.astype("<f8").tobytes(order="C")
+    return bytes(buf)
+
+
+class TestStreamingContainer:
+    """The writer streams and the reader fills fresh arrays; the bytes and
+    the checks stay those of the in-memory format."""
+
+    def fixed_mapping(self):
+        rng = np.random.default_rng(7)
+        return {
+            "scalar": np.asarray(-0.5),
+            "empty": np.zeros(0),
+            "empty_rows": np.zeros((0, 3)),
+            "ints": np.arange(5),
+            "mat": rng.normal(size=(4, 3)),
+            "strided": rng.normal(size=(6, 4))[::2, 1:],
+            "fortran": np.asfortranarray(rng.normal(size=(3, 5))),
+            "unicode.名": rng.normal(size=(2, 2, 2)),
+        }
+
+    def test_bytes_equal_in_memory_reference(self, tmp_path):
+        tensors = self.fixed_mapping()
+        path = tmp_path / "c.bin"
+        save_tensors(path, tensors)
+        assert path.read_bytes() == reference_container_bytes(tensors)
+        loaded = load_tensors(path)
+        for name, value in tensors.items():
+            np.testing.assert_array_equal(loaded[name], np.atleast_1d(value))
+
+    def test_loaded_arrays_are_writable_and_own_their_memory(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_tensors(path, {"a": np.ones((3, 2)), "b": np.arange(4.0)})
+        loaded = load_tensors(path)
+        for arr in loaded.values():
+            assert arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous
+            arr += 1.0  # a loaded checkpoint must stay trainable in place
+        np.testing.assert_array_equal(loaded["a"], np.full((3, 2), 2.0))
+
+    def test_every_cut_point_rejected(self, tmp_path):
+        """A file cut anywhere after the magic, inside a header or an
+        array, raises IngestionError and never reads past its end."""
+        path = tmp_path / "c.bin"
+        save_tensors(path, {"ab": np.ones((2, 2)), "c": np.zeros(1)})
+        whole = path.read_bytes()
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(IngestionError):
+                load_tensors(path)
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        """A header declaring far more values than the file holds fails as
+        corrupt instead of allocating them."""
+        path = tmp_path / "huge.bin"
+        name = b"w"
+        for shape in ((2**27,), (2**40, 2**20)):
+            path.write_bytes(
+                MAGIC + struct.pack("<Q", 1) + struct.pack("<I", len(name)) + name
+                + struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}Q", *shape)
+                + b"\x00" * 8
+            )
+            tracemalloc.start()
+            try:
+                with pytest.raises(IngestionError, match="truncated or corrupt"):
+                    load_tensors(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+        path.write_bytes(MAGIC + struct.pack("<Q", 1) + struct.pack("<I", 2**31))
+        with pytest.raises(IngestionError, match="truncated or corrupt"):
+            load_tensors(path)

@@ -3,6 +3,9 @@ definitions, invariants (monotonicity, MRR <= P, argsort invariance), and
 artifact writers."""
 
 import csv
+import gc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,17 +27,34 @@ from nirrec.evaluate import (
     write_plotdata_csv,
     write_rankings_csv,
 )
-from nirrec.ingest import EncodedSession, prepare
+from nirrec.ingest import EncodedSession, load_shards, prepare, save_shards
 from nirrec.model import (
     candidate_ids,
     forward,
     infer_candidate_embeddings,
     init_params,
+    load_params,
     score_candidates,
     train,
 )
 
 from test_model import small_cfg, tiny_data
+
+
+def count_theta_maps(monkeypatch) -> list[int]:
+    """Route evaluate's θ calls through a counter; returns the row counts
+    of every call made from now on."""
+    import nirrec.evaluate as eval_mod
+
+    rows: list[int] = []
+    real = eval_mod.infer_candidate_embeddings
+
+    def counting(params, data, cand):
+        rows.append(len(cand))
+        return real(params, data, cand)
+
+    monkeypatch.setattr(eval_mod, "infer_candidate_embeddings", counting)
+    return rows
 
 
 def counting_oracle_rank(scores, gt):
@@ -196,6 +216,19 @@ class TestEvaluatePipeline:
         report = evaluate(self.params, data, self.cfg)
         assert report.skipped == 1
         assert report.sessions == 2
+        assert report.skipped_reasons == {"no_candidates": 0, "gt_not_candidate": 1}
+        # a history covering the whole catalog leaves nothing to rank
+        data.test = data.test + [EncodedSession("full", list(range(1, data.n_items)), 3)]
+        report = evaluate(self.params, data, self.cfg)
+        assert report.skipped == 2
+        assert report.skipped_reasons == {"no_candidates": 1, "gt_not_candidate": 1}
+        raw = report.to_dict()
+        assert raw["skipped_reasons"] == report.skipped_reasons
+        assert MetricsReport.from_dict(raw).skipped_reasons == report.skipped_reasons
+        del raw["skipped_reasons"]
+        assert MetricsReport.from_dict(raw).skipped_reasons is None
+        sampled = evaluate_sampled(self.params, data, self.cfg, repeats=2)
+        assert sampled.skipped_reasons == report.skipped_reasons
 
     def test_all_skipped_rejected(self):
         from nirrec.ingest import EncodedSession
@@ -224,25 +257,40 @@ class TestEvaluatePipeline:
         assert r1.p == r2.p and r1.p_std == r2.p_std
 
     def test_theta_mapped_once_per_call(self, monkeypatch):
-        import nirrec.evaluate as eval_mod
-
-        rows = []
-        real = eval_mod.infer_candidate_embeddings
-
-        def counting(params, data, cand):
-            rows.append(len(cand))
-            return real(params, data, cand)
-
-        monkeypatch.setattr(eval_mod, "infer_candidate_embeddings", counting)
+        """At most once per call, and only when the parameters changed
+        since the last call: the table is kept with them."""
+        rows = count_theta_maps(monkeypatch)
         evaluate(self.params, self.data, self.cfg)
         assert rows == [self.data.n_items - 1]
         evaluate_sampled(self.params, self.data, self.cfg, repeats=3)
-        assert len(rows) == 1 + 3
+        assert len(rows) == 1
+        self.params.theta.o_b.data[0] += 0.25
+        evaluate_sampled(self.params, self.data, self.cfg, repeats=3)
+        assert rows == [self.data.n_items - 1] * 2
+
+
+def per_session_rankings(params, data, cfg, beta_mode="mean", rng=None) -> list[np.ndarray]:
+    """Reference path without a shared table: θ mapped afresh over each
+    session's own candidates."""
+    out = []
+    for sess in data.test:
+        cand = candidate_ids(data.n_items, sess.history)
+        fwd = forward(
+            sess.history, params, data, cfg.lambda_,
+            rng=None if rng is None else rng.derive(sess.session_id),
+            beta_mode=beta_mode, session_id=sess.session_id,
+        )
+        logits = score_candidates(
+            fwd.i, params.w_proj, infer_candidate_embeddings(params, data, cand)
+        ).data
+        out.append(cand[np.lexsort((cand, -logits))])
+    return out
 
 
 class TestSharedCatalogTable:
-    """evaluate maps θ over the catalog once per call; every session must
-    rank exactly as it does on the logits of θ over its own candidates."""
+    """evaluate scores every session against one θ table over the catalog;
+    every session must rank exactly as it does on the logits of θ over its
+    own candidates."""
 
     @pytest.mark.parametrize("beta_mode", ["mean", "sample"])
     def test_rankings_match_per_session_theta(self, tmp_path, beta_mode):
@@ -252,19 +300,92 @@ class TestSharedCatalogTable:
         rng = Rng(5, "eval") if beta_mode == "sample" else None
         report = evaluate(params, data, cfg, beta_mode=beta_mode, rng=rng)
         assert report.skipped == 0 and len(report.results) == len(data.test)
-        for res, sess in zip(report.results, data.test):
-            cand = candidate_ids(data.n_items, sess.history)
-            fwd = forward(
-                sess.history, params, data, cfg.lambda_,
-                rng=None if rng is None else rng.derive(sess.session_id),
-                beta_mode=beta_mode, session_id=sess.session_id,
-            )
-            logits = score_candidates(
-                fwd.i, params.w_proj, infer_candidate_embeddings(params, data, cand)
-            ).data
-            ranking = cand[np.lexsort((cand, -logits))]
+        expected = per_session_rankings(params, data, cfg, beta_mode, rng)
+        for res, sess, ranking in zip(report.results, data.test, expected):
             np.testing.assert_array_equal(res.ranking, ranking)
             assert res.gt_rank == 1 + int(np.flatnonzero(ranking == sess.gt)[0])
+
+
+class TestCatalogIndex:
+    """The θ table kept with the parameters must rank exactly like the
+    uncached path after every change of parameters or data, and be mapped
+    once per distinct state."""
+
+    def assert_fresh(self, params, data, cfg):
+        report = evaluate(params, data, cfg)
+        expected = per_session_rankings(params, data, cfg)
+        assert len(report.results) == len(expected) == len(data.test)
+        for res, ranking in zip(report.results, expected):
+            np.testing.assert_array_equal(res.ranking, ranking)
+        fresh = infer_candidate_embeddings(params, data, np.arange(1, data.n_items))
+        np.testing.assert_array_equal(params.catalog_index.table.data, fresh.data)
+
+    def test_rankings_match_uncached_path_across_states(self, tmp_path, monkeypatch):
+        data = prepare(*write_toy_dataset(tmp_path))
+        save_shards(tmp_path / "shard", data)
+        cfg = small_cfg(epochs=1, batch_size=8)
+        params = init_params(data, cfg)
+        rows = count_theta_maps(monkeypatch)
+
+        self.assert_fresh(params, data, cfg)
+        self.assert_fresh(params, data, cfg)
+        assert len(rows) == 1
+        train(replace(data, train=data.train[:8]), cfg, params=params)
+        self.assert_fresh(params, data, cfg)
+        assert len(rows) == 2
+        stamped = [params.attr_table, *params.theta.named().values()]
+        assert len(stamped) == 5
+        for tensor in stamped:
+            tensor.data.flat[tensor.data.size // 2] += 0.5
+            self.assert_fresh(params, data, cfg)
+            self.assert_fresh(params, data, cfg)
+        assert len(rows) == 2 + 5
+        # the same attribute matrix under a new test split: still a hit
+        self.assert_fresh(params, replace(data, test=data.test[:3]), cfg)
+        assert len(rows) == 7
+        # reloaded shards: equal content, but a new matrix
+        reloaded = load_shards(tmp_path / "shard")
+        self.assert_fresh(params, reloaded, cfg)
+        assert len(rows) == 8
+        # a checkpoint reloads into new parameters with no table
+        params.save(tmp_path / "model.bin")
+        loaded, _ = load_params(tmp_path / "model.bin", reloaded)
+        self.assert_fresh(loaded, reloaded, cfg)
+        assert len(rows) == 9
+
+    def test_replaced_matrix_is_freed_and_rebuilt(self, monkeypatch):
+        data = tiny_data()
+        cfg = small_cfg(epochs=1)
+        params = init_params(data, cfg)
+        rows = count_theta_maps(monkeypatch)
+        evaluate(params, data, cfg)
+        old = weakref.ref(data.attr_matrix)
+        del data
+        gc.collect()
+        assert old() is None
+        evaluate(params, tiny_data(), cfg)
+        assert len(rows) == 2
+
+    def test_attr_matrix_read_only_and_kept_by_replace(self, monkeypatch):
+        data = tiny_data()
+        with pytest.raises(ValueError):
+            data.attr_matrix[1, 1] = 3.0
+        split = replace(data, test=data.test[:1])
+        assert split.attr_matrix is data.attr_matrix
+        cfg = small_cfg(epochs=1)
+        params = init_params(data, cfg)
+        rows = count_theta_maps(monkeypatch)
+        evaluate(params, data, cfg)
+        evaluate(params, split, cfg)
+        assert len(rows) == 1
+
+    def test_table_is_read_only(self):
+        data = tiny_data()
+        cfg = small_cfg(epochs=1)
+        params = init_params(data, cfg)
+        evaluate(params, data, cfg)
+        with pytest.raises(ValueError):
+            params.catalog_index.table.data[0, 0] = 1.0
 
 
 class TestRankOnLogits:
