@@ -38,11 +38,20 @@ from .evaluate import (
     write_rankings_csv,
 )
 from .ingest import PrepareOptions, load_shards, prepare, save_shards
-from .model import CANDIDATE_MODES, TrainConfig, apply_ablation, config_key, load_params, train
+from .model import (
+    ABLATIONS,
+    CANDIDATE_MODES,
+    TrainConfig,
+    apply_ablation,
+    config_key,
+    load_params,
+    train,
+)
 
 log = logging.getLogger("nirrec")
 
 DEFAULT_SWEEP_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
+EVAL_MODES = ("mean", "sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +315,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     file_cfg = parse_config_file(args.config) if args.config else {}
     eval_mode = _layered("eval_mode", args.eval_mode, file_cfg, "mean")
-    if eval_mode not in ("mean", "sampled"):
-        raise ConfigurationError(f"eval_mode must be mean or sampled, got {eval_mode!r}")
+    if eval_mode not in EVAL_MODES:
+        modes = " or ".join(EVAL_MODES)
+        raise ConfigurationError(f"eval_mode must be {modes}, got {eval_mode!r}")
     repeats = _layered("repeats", args.repeats, file_cfg, 5)
     strict = _layered("strict_precision", args.strict_precision or None, file_cfg, False)
     out = Path(args.out)
@@ -447,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a model on prepared shards")
     t.add_argument("shards")
-    t.add_argument("--ablate", choices=("no_alpha", "no_beta", "no_lzero"))
+    t.add_argument("--ablate", choices=ABLATIONS)
     _add_train_flags(t)
     _add_shared(t)
     t.set_defaults(func=cmd_train)
@@ -455,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("shards")
     e.add_argument("checkpoint")
-    e.add_argument("--eval-mode", dest="eval_mode", choices=("mean", "sampled"))
+    e.add_argument("--eval-mode", dest="eval_mode", choices=EVAL_MODES)
     e.add_argument("--repeats", type=int)
     e.add_argument("--strict-precision", dest="strict_precision", action="store_true")
     e.add_argument("--k", dest="eval_ks", type=_parse_ks, help="comma-separated cutoffs")
@@ -464,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("ablate", help="train + evaluate one ablation")
     a.add_argument("shards")
-    a.add_argument("--which", required=True, choices=("no_alpha", "no_beta", "no_lzero"))
+    a.add_argument("--which", required=True, choices=ABLATIONS)
     _add_train_flags(a)
     _add_shared(a)
     a.set_defaults(func=cmd_ablate)

@@ -592,6 +592,10 @@ def prepare(
 
 SHARD_BIN = "shard.bin"
 SHARD_INDEX = "index.json"
+INDEX_KEYS = ("item_ids", "tax_vocab", "attr_tokens", "attr_mode", "no_attr_items", "counts",
+              "stats", "train_ids", "test_ids")
+SHARD_TENSORS = ("tax_paths", "attr_matrix", "train_offsets", "train_items", "train_gts",
+                 "test_offsets", "test_items", "test_gts")
 
 
 def _pack_sessions(sessions: list[EncodedSession]):
@@ -602,20 +606,6 @@ def _pack_sessions(sessions: list[EncodedSession]):
     gts = np.array([s.gt for s in sessions], dtype=np.int64)
     ids = [s.session_id for s in sessions]
     return offsets, items, gts, ids
-
-
-def _unpack_sessions(offsets, items, gts, ids) -> list[EncodedSession]:
-    offsets = offsets.astype(np.int64)
-    items = items.astype(np.int64)
-    gts = gts.astype(np.int64)
-    return [
-        EncodedSession(
-            session_id=ids[i],
-            history=items[offsets[i] : offsets[i + 1]].tolist(),
-            gt=int(gts[i]),
-        )
-        for i in range(len(ids))
-    ]
 
 
 def save_shards(out_dir: str | Path, data: PreparedData) -> None:
@@ -654,8 +644,27 @@ def save_shards(out_dir: str | Path, data: PreparedData) -> None:
     )
 
 
+def _check_shape(path: Path, name: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
+    if arr.shape != shape:
+        raise IngestionError(
+            f"{path}: tensor {name!r} has shape {arr.shape}, {SHARD_INDEX} implies {shape}"
+        )
+
+
+def _check_ids(path: Path, name: str, arr: np.ndarray, lo: int, hi: int) -> None:
+    """Every value of ``arr`` must be an integer in ``lo..hi``."""
+    if arr.size and not (np.all(arr == np.round(arr)) and lo <= arr.min() and arr.max() <= hi):
+        raise IngestionError(f"{path}: tensor {name!r} holds values other than integers {lo}..{hi}")
+
+
 def load_shards(shard_dir: str | Path) -> PreparedData:
-    """Reload a shard directory written by :func:`save_shards`."""
+    """Reload a shard directory written by :func:`save_shards`.
+
+    Every tensor is checked against ``index.json`` (shapes, id ranges,
+    session offsets) before use; a disagreement is an IngestionError naming
+    the file and the key or tensor.  The values of ``attr_matrix`` are not
+    read, only its shape.
+    """
     shard_dir = Path(shard_dir)
     index_path = shard_dir / SHARD_INDEX
     bin_path = shard_dir / SHARD_BIN
@@ -665,37 +674,58 @@ def load_shards(shard_dir: str | Path) -> PreparedData:
         index = json.loads(index_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise IngestionError(f"{index_path}: invalid JSON ({e.msg})") from e
-    tensors = load_tensors(bin_path)
-    required = {
-        "tax_paths",
-        "attr_matrix",
-        "train_offsets",
-        "train_items",
-        "train_gts",
-        "test_offsets",
-        "test_items",
-        "test_gts",
-    }
-    missing = required - set(tensors)
+    missing = [key for key in INDEX_KEYS if key not in index]
     if missing:
-        raise IngestionError(f"{bin_path}: missing tensors {sorted(missing)}")
-    train = _unpack_sessions(
-        tensors["train_offsets"], tensors["train_items"], tensors["train_gts"], index["train_ids"]
-    )
-    test = _unpack_sessions(
-        tensors["test_offsets"], tensors["test_items"], tensors["test_gts"], index["test_ids"]
-    )
+        raise IngestionError(f"{index_path}: missing keys {missing}")
+    if len(index["tax_vocab"]) != 3:
+        raise IngestionError(f"{index_path}: key 'tax_vocab' must have 3 levels")
+    tensors = load_tensors(bin_path)
+    missing = [name for name in SHARD_TENSORS if name not in tensors]
+    if missing:
+        raise IngestionError(f"{bin_path}: missing tensors {missing}")
+    n_items, n_tokens = len(index["item_ids"]), len(index["attr_tokens"])
+    _check_shape(bin_path, "attr_matrix", tensors["attr_matrix"], (n_items, n_tokens))
+    tax_paths = tensors["tax_paths"]
+    _check_shape(bin_path, "tax_paths", tax_paths, (n_items, 3))
+    for level, vocab in enumerate(index["tax_vocab"]):
+        _check_ids(bin_path, f"tax_paths[:, {level}]", tax_paths[:, level], 0, len(vocab) - 1)
+    attr_vectors = tensors.get("attr_vectors")
+    if attr_vectors is not None and (attr_vectors.ndim != 2 or len(attr_vectors) != n_tokens):
+        raise IngestionError(
+            f"{bin_path}: tensor 'attr_vectors' has shape {attr_vectors.shape}, "
+            f"expected {n_tokens} rows"
+        )
+
+    def split(name: str) -> list[EncodedSession]:
+        ids = index[f"{name}_ids"]
+        offsets, items, gts = (tensors[f"{name}_{part}"] for part in ("offsets", "items", "gts"))
+        _check_shape(bin_path, f"{name}_offsets", offsets, (len(ids) + 1,))
+        _check_shape(bin_path, f"{name}_items", items, (items.size,))
+        _check_shape(bin_path, f"{name}_gts", gts, (len(ids),))
+        _check_ids(bin_path, f"{name}_items", items, 1, n_items - 1)
+        _check_ids(bin_path, f"{name}_gts", gts, 1, n_items - 1)
+        _check_ids(bin_path, f"{name}_offsets", offsets, 0, items.size)
+        if offsets[0] != 0 or offsets[-1] != items.size or np.any(np.diff(offsets) <= 0):
+            raise IngestionError(
+                f"{bin_path}: tensor '{name}_offsets' does not rise strictly from 0 to {items.size}"
+            )
+        bounds, history = offsets.astype(np.int64), items.astype(np.int64)
+        return [
+            EncodedSession(sid, history[bounds[i] : bounds[i + 1]].tolist(), int(gts[i]))
+            for i, sid in enumerate(ids)
+        ]
+
     return PreparedData(
         item_ids=list(index["item_ids"]),
         tax_vocab=tuple(list(v) for v in index["tax_vocab"]),  # type: ignore[arg-type]
-        tax_paths=tensors["tax_paths"].astype(np.int64),
+        tax_paths=tax_paths.astype(np.int64),
         attr_tokens=list(index["attr_tokens"]),
         attr_matrix=tensors["attr_matrix"],
-        attr_vectors=tensors.get("attr_vectors"),
+        attr_vectors=attr_vectors,
         attr_mode=index["attr_mode"],
         no_attr_items=[int(x) for x in index["no_attr_items"]],
-        train=train,
-        test=test,
+        train=split("train"),
+        test=split("test"),
         counts={k: int(v) for k, v in index["counts"].items()},
         stats=index["stats"],
     )

@@ -22,7 +22,7 @@ the sampler cannot influence the result even numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +68,7 @@ class IntentResult:
     b: np.ndarray | None = None
     beta_scores: np.ndarray | None = None
     draws: np.ndarray | None = None
-    shape_a: np.ndarray | None = None
-    shape_c: np.ndarray | None = None
     clamped: int = 0
-    b_tensor: Tensor | None = field(default=None, repr=False)
 
 
 def alpha_intent(e: Tensor, last_index: int, params: IntentParams) -> tuple[Tensor, Tensor]:
@@ -187,15 +184,12 @@ def compute_intent(
         result.i_alpha = i_alpha
         result.gates = gates.data.copy()
     if lam < 1.0:
-        b, x, a_vals, c_vals, clamped = beta_weights(v, t, rng=rng, mode=beta_mode, draws=draws)
+        b, x, _, _, clamped = beta_weights(v, t, rng=rng, mode=beta_mode, draws=draws)
         i_beta, scores = beta_intent(e, b, last_index, params)
         result.i_beta = i_beta
         result.b = b.data.copy()
-        result.b_tensor = b
         result.beta_scores = scores.data.copy()
         result.draws = x
-        result.shape_a = a_vals
-        result.shape_c = c_vals
         result.clamped = clamped
     if lam >= 1.0:
         result.i = result.i_alpha

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Rng, Tensor, load_tensors, save_tensors, zero_grads
-from .encoder import EncoderParams, GgnnParams, embed_session, init_encoder
+from .encoder import EncoderParams, embed_session, init_encoder
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -142,7 +142,6 @@ class ModelParams:
     attr_table: Tensor
     config: TrainConfig
     vocab_digest: bytes
-    attr_trainable: bool = True
     # nirrec.evaluate's CatalogIndex: θ over the catalog and the stamp it
     # was mapped from, rebuilt whenever the stamp stops matching.
     catalog_index: Any = field(default=None, init=False, repr=False, compare=False)
@@ -163,10 +162,7 @@ class ModelParams:
         return out
 
     def trainable(self) -> dict[str, Tensor]:
-        out = self.named()
-        if not self.attr_trainable:
-            del out["attr.table"]
-        return out
+        return {name: t for name, t in self.named().items() if t.requires_grad}
 
     def save(self, path: str | Path) -> None:
         """Write every tensor plus the config and vocabulary digest that
@@ -210,13 +206,11 @@ def init_params(data: PreparedData, cfg: TrainConfig) -> ModelParams:
     )
     if data.attr_vectors is not None:
         attr_table = Tensor(data.attr_vectors)
-        attr_trainable = False
     else:
         attr_table = Tensor(
             rng.derive("attr").normal(0.0, 0.1, size=(len(data.attr_tokens), cfg.d_a)),
             requires_grad=True,
         )
-        attr_trainable = True
     return ModelParams(
         encoder=encoder,
         intent=intent,
@@ -225,78 +219,47 @@ def init_params(data: PreparedData, cfg: TrainConfig) -> ModelParams:
         attr_table=attr_table,
         config=cfg,
         vocab_digest=vocab_digest(data),
-        attr_trainable=attr_trainable,
     )
 
 
 def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, TrainConfig]:
-    """Rebuild :class:`ModelParams` and its :class:`TrainConfig` from a
-    checkpoint file.  Every fault (unreadable container, missing tensor or
-    metadata, a vocabulary other than ``data``'s) is an EvaluationError."""
+    """Load a checkpoint into the model :func:`init_params` builds for its
+    stored config, and return it with that :class:`TrainConfig`.  Every
+    fault (unreadable container, missing metadata, a vocabulary other than
+    ``data``'s, a tensor that is missing, differently shaped or not finite)
+    is an EvaluationError."""
     try:
         raw = load_tensors(path)
     except IngestionError as e:
         raise EvaluationError(f"checkpoint {e}") from e
-    required = {
-        "enc.item_table", "enc.tax1", "enc.tax2", "enc.tax3", "enc.Wtax", "enc.Wtax_b",
-        "enc.ggnn.H", "enc.ggnn.b", "enc.ggnn.Wz", "enc.ggnn.Uz", "enc.ggnn.Wr",
-        "enc.ggnn.Ur", "enc.ggnn.Wo", "enc.ggnn.Uo",
-        "intent.W1", "intent.W2", "intent.W3",
-        "zeroshot.theta.h_w", "zeroshot.theta.h_b", "zeroshot.theta.o_w", "zeroshot.theta.o_b",
-        "proj.W_I", "attr.table", CONFIG_ENTRY, DIGEST_ENTRY,
-    }
-    missing = required - set(raw)
+    missing = sorted({CONFIG_ENTRY, DIGEST_ENTRY} - set(raw))
     if missing:
-        raise EvaluationError(f"checkpoint {path} is missing tensors {sorted(missing)}")
+        raise EvaluationError(f"checkpoint {path} is missing tensors {missing}")
     try:
         cfg = TrainConfig.from_dict(json.loads(_vector_to_bytes(raw[CONFIG_ENTRY])))
     except (ValueError, KeyError, TypeError, ConfigurationError) as e:
         raise EvaluationError(f"checkpoint {path} has an unreadable config: {e}") from e
-    digest = _vector_to_bytes(raw[DIGEST_ENTRY])
-    if digest != vocab_digest(data):
+    params = init_params(data, cfg)
+    if _vector_to_bytes(raw[DIGEST_ENTRY]) != params.vocab_digest:
         raise EvaluationError(
             f"checkpoint {path} was trained on other item, taxonomy or attribute "
             "vocabularies than the shards"
         )
-    attr_trainable = data.attr_vectors is None
-
-    def t(name: str, trainable: bool = True) -> Tensor:
-        return Tensor(raw[name], requires_grad=trainable)
-
-    encoder = EncoderParams(
-        item_table=t("enc.item_table"),
-        tax1=t("enc.tax1"),
-        tax2=t("enc.tax2"),
-        tax3=t("enc.tax3"),
-        w_tax=t("enc.Wtax"),
-        b_tax=t("enc.Wtax_b"),
-        ggnn=GgnnParams(
-            h=t("enc.ggnn.H"),
-            b=t("enc.ggnn.b"),
-            wz=t("enc.ggnn.Wz"),
-            uz=t("enc.ggnn.Uz"),
-            wr=t("enc.ggnn.Wr"),
-            ur=t("enc.ggnn.Ur"),
-            wo=t("enc.ggnn.Wo"),
-            uo=t("enc.ggnn.Uo"),
-            steps=cfg.t_steps,
-        ),
-    )
-    return ModelParams(
-        encoder=encoder,
-        intent=IntentParams(w1=t("intent.W1"), w2=t("intent.W2"), w3=t("intent.W3")),
-        theta=ThetaParams(
-            h_w=t("zeroshot.theta.h_w"),
-            h_b=t("zeroshot.theta.h_b"),
-            o_w=t("zeroshot.theta.o_w"),
-            o_b=t("zeroshot.theta.o_b"),
-        ),
-        w_proj=t("proj.W_I"),
-        attr_table=t("attr.table", trainable=attr_trainable),
-        config=cfg,
-        vocab_digest=digest,
-        attr_trainable=attr_trainable,
-    ), cfg
+    named = params.named()
+    missing = [name for name in named if name not in raw]
+    if missing:
+        raise EvaluationError(f"checkpoint {path} is missing tensors {missing}")
+    for name, tensor in named.items():
+        value = raw[name]
+        if value.shape != tensor.shape:
+            raise EvaluationError(
+                f"checkpoint {path}: tensor {name!r} has shape {value.shape}, "
+                f"its stored config builds {tensor.shape}"
+            )
+        if not np.isfinite(value).all():
+            raise EvaluationError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
+        tensor.data = value
+    return params, cfg
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nirrec.cli as cli
 from nirrec.autodiff import load_tensors, save_tensors
 from nirrec.cli import DEFAULT_SWEEP_VALUES, main, parse_config_file
 from nirrec.datagen import write_toy_dataset
-from nirrec.errors import ConfigurationError, TrainingError
+from nirrec.errors import ConfigurationError, EvaluationError, TrainingError
 from nirrec.evaluate import evaluate, write_rankings_csv
 from nirrec.ingest import load_shards
 from nirrec.model import TrainConfig, load_params
@@ -429,6 +430,27 @@ class TestCheckpointConfig:
         save_tensors(partial, raw)
         assert main(["eval", str(shards), str(partial), "--out", str(tmp_path / "e")]) == 4
 
+    @pytest.mark.parametrize("name, corrupt", [
+        ("zeroshot.theta.o_b", lambda a: a[:1]),
+        ("proj.W_I", lambda a: a.T),
+        ("intent.W3", lambda a: np.append(a.ravel()[:-1], np.nan).reshape(a.shape)),
+        ("enc.ggnn.H", None),
+    ], ids=["cut", "transposed", "nan", "missing"])
+    def test_malformed_tensor_returns_four_and_names_it(
+        self, shards, model_run, tmp_path, capsys, name, corrupt
+    ):
+        raw = load_tensors(model_run)
+        if corrupt is None:
+            del raw[name]
+        else:
+            raw[name] = corrupt(raw[name])
+        bad = tmp_path / "bad.bin"
+        save_tensors(bad, raw)
+        with pytest.raises(EvaluationError, match=re.escape(repr(name))):
+            load_params(bad, load_shards(shards))
+        assert main(["eval", str(shards), str(bad), "--out", str(tmp_path / "e")]) == 4
+        assert repr(name) in capsys.readouterr().err
+
     def test_same_size_vocabulary_with_renamed_item_returns_four(
         self, corpus, shards, model_run, tmp_path, capsys
     ):
@@ -453,6 +475,76 @@ class TestCheckpointConfig:
         argv = ["eval", str(renamed), str(model_run), "--out", str(tmp_path / "e")]
         assert main(argv) == 4
         assert "vocabularies" in capsys.readouterr().err
+
+
+def _cut(name):
+    return lambda index, t: t.update({name: t[name][:-1]})
+
+
+def _set(name, pos, value):
+    def apply(index, t):
+        t[name] = t[name].copy()
+        t[name][pos] = value(index, t) if callable(value) else value
+    return apply
+
+
+# Each case damages a valid shard directory. The error must name the file
+# (index.json for a fault of the index alone, else shard.bin) and the key or
+# tensor.
+SHARD_FAULTS = {
+    "missing_train_ids": (lambda index, t: index.pop("train_ids"), "index.json", "'train_ids'"),
+    "missing_attr_tokens": (
+        lambda index, t: index.pop("attr_tokens"), "index.json", "'attr_tokens'"
+    ),
+    "tax_vocab_levels": (lambda index, t: index["tax_vocab"].pop(), "index.json", "'tax_vocab'"),
+    "short_item_ids": (lambda index, t: index["item_ids"].pop(), "shard.bin", "'attr_matrix'"),
+    "short_attr_matrix": (_cut("attr_matrix"), "shard.bin", "'attr_matrix'"),
+    "short_tax_paths": (_cut("tax_paths"), "shard.bin", "'tax_paths'"),
+    "dropped_train_offset": (_cut("train_offsets"), "shard.bin", "'train_offsets'"),
+    "short_test_gts": (_cut("test_gts"), "shard.bin", "'test_gts'"),
+    "fractional_train_items": (
+        lambda index, t: t.update(train_items=t["train_items"] + 0.5),
+        "shard.bin", "'train_items'",
+    ),
+    "fractional_item_in_range": (_set("train_items", 0, 1.5), "shard.bin", "'train_items'"),
+    "unknown_item": (_set("test_items", 0, 0.0), "shard.bin", "'test_items'"),
+    "gt_past_catalog": (
+        _set("train_gts", 0, lambda index, t: len(index["item_ids"])),
+        "shard.bin", "'train_gts'",
+    ),
+    "empty_session": (_set("train_offsets", 1, 0.0), "shard.bin", "'train_offsets'"),
+    "falling_offsets": (
+        _set("train_offsets", 1, lambda index, t: t["train_offsets"][2] + 1),
+        "shard.bin", "'train_offsets'",
+    ),
+    "tax_id_past_vocab": (
+        _set("tax_paths", (1, 2), lambda index, t: len(index["tax_vocab"][2])),
+        "shard.bin", "'tax_paths[:, 2]'",
+    ),
+    "attr_vectors_rows": (
+        lambda index, t: t.update(attr_vectors=np.ones((len(index["attr_tokens"]) - 1, 2))),
+        "shard.bin", "'attr_vectors'",
+    ),
+}
+
+
+class TestShardFaults:
+    """A shard whose tensors disagree with index.json exits 2 naming the file
+    and the key or tensor, before any training."""
+
+    @pytest.mark.parametrize("fault", sorted(SHARD_FAULTS))
+    def test_inconsistent_shard_returns_two(self, shards, tmp_path, capsys, fault):
+        damage, where, needle = SHARD_FAULTS[fault]
+        index = json.loads((shards / "index.json").read_text())
+        tensors = load_tensors(shards / "shard.bin")
+        damage(index, tensors)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "index.json").write_text(json.dumps(index))
+        save_tensors(bad / "shard.bin", tensors)
+        assert main(["train", str(bad), "--out", str(tmp_path / "t"), "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert needle in err and str(bad / where) in err
 
 
 class TestSweep:

@@ -482,7 +482,8 @@ class TestTraining:
         data.attr_mode = "pretrained"
         cfg = small_cfg(epochs=1)
         params = init_params(data, cfg)
-        assert not params.attr_trainable
+        assert not params.attr_table.requires_grad
+        assert "attr.table" not in params.trainable()
         frozen = params.attr_table.data.copy()
         result = train(data, cfg, params=params)
         np.testing.assert_array_equal(result.params.attr_table.data, frozen)
@@ -557,6 +558,22 @@ class TestCheckpointMetadata:
         text = raw["meta.config"].astype(np.uint8).tobytes().decode("utf-8")
         assert TrainConfig.from_dict(json.loads(text)) == cfg
         assert raw["meta.vocab_sha256"].shape == (32,)
+
+    @pytest.mark.parametrize("pretrained", [False, True])
+    def test_saved_tensors_are_the_ones_init_params_builds(self, tmp_path, pretrained):
+        data = tiny_data()
+        if pretrained:
+            data.attr_vectors = np.random.default_rng(0).normal(size=(len(data.attr_tokens), 3))
+            data.attr_mode = "pretrained"
+        cfg = small_cfg(epochs=1)
+        path = tmp_path / "model.bin"
+        train(data, cfg).params.save(path)
+        stored = {k: v.shape for k, v in load_tensors(path).items() if not k.startswith("meta.")}
+        built = init_params(data, cfg)
+        assert stored == {k: t.shape for k, t in built.named().items()}
+        loaded, _ = load_params(path, data)
+        assert set(loaded.trainable()) == set(built.trainable())
+        assert ("attr.table" in loaded.trainable()) is not pretrained
 
     def test_t_steps_come_from_the_stored_config(self, tmp_path):
         data, _, path = self.saved(tmp_path, t_steps=2, lambda_=0.2, propagate_taxonomy=True)
