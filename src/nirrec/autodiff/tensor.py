@@ -44,6 +44,7 @@ __all__ = [
     "concat",
     "softmax",
     "take_rows",
+    "segment_mean",
     "pick",
     "reduce_sum",
     "reduce_mean",
@@ -181,6 +182,22 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.array(g, dtype=np.float64, copy=True)
     else:
         t.grad = t.grad + g
+
+
+def _grad_buffer(t: Tensor) -> np.ndarray | None:
+    """``t``'s gradient as a C-contiguous array that a rule may add into in
+    place, created as zeros when missing; None when ``t`` takes no
+    gradient.  For rules whose gradient touches few rows of a large
+    table, where a table-sized temporary per call would cost more than
+    the scatter.  Gradients stay owned by their tensor: a caller that
+    keeps ``t.grad`` across backward calls should copy it."""
+    if not t.requires_grad:
+        return None
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    elif not t.grad.flags.c_contiguous or not t.grad.flags.writeable:
+        t.grad = np.array(t.grad, dtype=np.float64, order="C")
+    return t.grad
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], rule: Callable[[np.ndarray], None]) -> Tensor:
@@ -473,6 +490,50 @@ def take_rows(t, indices) -> Tensor:
         _accumulate(t, acc)
 
     return _record(out, (t,), rule)
+
+
+def segment_mean(table, cols, starts, seg) -> Tensor:
+    """Row r is the mean of ``table[cols[starts[r] : starts[r + 1]]]``; the
+    last segment runs to the end of ``cols``.  ``seg`` is the segment of
+    each entry of ``cols``, as :meth:`nirrec.ingest.AttributeMatrix.gather`
+    returns it.
+
+    That is the product with ``table`` of a sparse matrix whose row r puts
+    weight 1/length on each column of segment r, so a column listed twice
+    weighs twice.  Forward is one ``np.add.reduceat``, backward one
+    ``np.add.at`` scatter into ``table``'s gradient buffer.  Segments must
+    be non-empty.
+    """
+    table = _as_tensor(table)
+    cols = np.asarray(cols, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    seg = np.asarray(seg, dtype=np.int64)
+    if table.ndim != 2 or cols.ndim != 1 or starts.ndim != 1 or seg.shape != cols.shape:
+        raise DimensionError(
+            f"segment_mean: expected a 2-d table, 1-d cols and starts and one segment "
+            f"id per column, got {table.shape}, {cols.shape}, {starts.shape} and {seg.shape}"
+        )
+    n = table.shape[0]
+    if cols.size and (cols.min() < 0 or cols.max() >= n):
+        bad = int(cols[(cols < 0) | (cols >= n)][0])
+        raise DomainError(f"segment_mean: column {bad} out of range for {n} rows")
+    if not starts.size:
+        return Tensor(np.zeros((0, table.shape[1])))
+    lengths = np.empty((len(starts), 1), dtype=np.int64)
+    lengths[:-1, 0] = starts[1:] - starts[:-1]
+    lengths[-1, 0] = cols.size - starts[-1]
+    if starts[0] != 0 or lengths.min() < 1:
+        raise DomainError("segment_mean: segments must start at 0 and be non-empty")
+    out = Tensor(np.add.reduceat(table.data[cols], starts, axis=0) / lengths)
+
+    def rule(g: np.ndarray) -> None:
+        d = table.shape[1]
+        # Through a flat view: np.add.at over whole rows is several times
+        # slower.
+        flat = (cols[:, None] * d + np.arange(d)).ravel()
+        np.add.at(_grad_buffer(table).reshape(-1), flat, (g / lengths)[seg].ravel())
+
+    return _record(out, (table,), rule)
 
 
 def pick(t, index: int) -> Tensor:

@@ -148,8 +148,9 @@ class CatalogIndex:
     the session.  The stamp keeps copies of ``attr_table`` and the four θ
     arrays, compared by value because Adam and finite-difference checks
     write them in place, and a weak reference to the attribute matrix.
-    :class:`PreparedData` keeps that matrix read-only, so its identity
-    stands for its content, and a replaced matrix is freed, not kept alive.
+    The CSR arrays of :class:`nirrec.ingest.AttributeMatrix` are read-only,
+    so its identity stands for its content, and a replaced matrix is freed,
+    not kept alive.
     """
 
     def __init__(self, params: ModelParams, data: PreparedData) -> None:

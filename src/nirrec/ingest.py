@@ -10,8 +10,9 @@ into a self-contained shard directory:
   present, or synthesized from flat labels by staged k-means++ clustering
   (labels -> k1 fine groups -> k2 -> k3, fine-to-coarse mapping to levels
   t3 -> t1);
-* an item×token averaging matrix so an item's attribute embedding is the
-  mean of its token vectors (trainable table or pretrained vectors);
+* an item×token averaging matrix in CSR form, so an item's attribute
+  embedding is the mean of its token vectors (trainable table or
+  pretrained vectors);
 * train/test splits of ground-truth-masked sessions, split at the last
   event's timestamp with a 7-day holdout boundary.
 
@@ -25,7 +26,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +56,21 @@ def _string_list(value, where: str, key: str) -> list[str]:
     return value
 
 
+def _json_lines(path: Path) -> Iterator[tuple[str, object]]:
+    """``(where, object)`` for each non-blank line of a JSON-lines file,
+    read one line at a time; ``where`` is ``path:line``."""
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise IngestionError(f"{where}: invalid JSON ({e.msg})") from e
+            yield where, obj
+
+
 def load_sessions(path: str | Path) -> tuple[list[Session], dict[str, int]]:
     """Parse a sessions JSON-lines file.
 
@@ -68,14 +84,7 @@ def load_sessions(path: str | Path) -> tuple[list[Session], dict[str, int]]:
     sessions: list[Session] = []
     counters = {"unsorted_sessions": 0, "too_short_sessions": 0}
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise IngestionError(f"{where}: invalid JSON ({e.msg})") from e
+    for where, obj in _json_lines(path):
         if not isinstance(obj, dict) or "session_id" not in obj or "events" not in obj:
             raise IngestionError(f"{where}: expected keys 'session_id' and 'events'")
         sid = obj["session_id"]
@@ -114,14 +123,7 @@ def load_catalog(path: str | Path) -> list[CatalogRecord]:
         raise IngestionError(f"catalog file not found: {path}")
     records: list[CatalogRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise IngestionError(f"{where}: invalid JSON ({e.msg})") from e
+    for where, obj in _json_lines(path):
         if not isinstance(obj, dict) or "item" not in obj or "attributes" not in obj:
             raise IngestionError(f"{where}: expected keys 'item' and 'attributes'")
         item = obj["item"]
@@ -308,18 +310,59 @@ def load_vector_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
     return vectors, dim
 
 
-@dataclass
-class AttributeSpec:
-    """Token vocabulary, per-item averaging weights, optional fixed vectors.
+class AttributeMatrix:
+    """The item×token averaging matrix in CSR form.
 
-    ``matrix[i]`` spreads weight 1/|tokens(i)| over item i's token columns,
-    so matrix @ token_table is the mean-of-token-vectors embedding for all
-    items at once.  Items with no usable tokens put weight 1 on the
-    UNKNOWN column and are listed in ``no_attr_items``.
+    Row i lists item i's token columns ``cols[indptr[i] : indptr[i + 1]]``
+    in catalog order, a token listed twice appearing twice; its weights
+    are implied as 1/row length, so ``matrix @ token_table`` is the
+    mean-of-token-vectors embedding of every item.  Every row is
+    non-empty.  The arrays are read-only, so the matrix's identity stands
+    for its content: the θ catalog index of :mod:`nirrec.evaluate` keeps a
+    weak reference to it.
     """
 
+    def __init__(self, indptr: np.ndarray, cols: np.ndarray, n_tokens: int) -> None:
+        self.indptr = np.array(indptr, dtype=np.int64)
+        self.cols = np.array(cols, dtype=np.int64)
+        self.n_tokens = int(n_tokens)
+        self._lengths = np.diff(self.indptr)
+        for arr in (self.indptr, self.cols, self._lengths):
+            arr.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.indptr) - 1, self.n_tokens)
+
+    @property
+    def nbytes(self) -> int:
+        return self.indptr.nbytes + self.cols.nbytes
+
+    def gather(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cols, starts, seg)`` of ``rows`` in order, the arguments of
+        :func:`nirrec.autodiff.segment_mean`: their token columns, where
+        each row's run begins, and the row position of every column."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = self._lengths[rows]
+        starts = np.cumsum(lengths) - lengths
+        seg = np.repeat(np.arange(len(rows)), lengths)
+        return self.cols[(self.indptr[rows] - starts)[seg] + np.arange(len(seg))], starts, seg
+
+    def __matmul__(self, table: np.ndarray) -> np.ndarray:
+        """The attribute embedding of every item under ``table``, in plain
+        NumPy, apart from the autodiff op the model trains through."""
+        sums = np.add.reduceat(np.asarray(table)[self.cols], self.indptr[:-1], axis=0)
+        return sums / self._lengths[:, None]
+
+
+@dataclass
+class AttributeSpec:
+    """Token vocabulary, the item×token averaging matrix, optional fixed
+    vectors.  Items with no usable tokens average the UNKNOWN column alone
+    and are listed in ``no_attr_items``."""
+
     tokens: list[str]
-    matrix: np.ndarray
+    matrix: AttributeMatrix
     vectors: np.ndarray | None
     mode: str
     no_attr_items: list[int] = field(default_factory=list)
@@ -370,19 +413,20 @@ def encode_attributes(
         vectors = None
 
     col_index = {tok: i for i, tok in enumerate(tokens)}
-    matrix = np.zeros((n_items, len(tokens)), dtype=np.float64)
-    matrix[0, 0] = 1.0  # the UNKNOWN item averages the UNKNOWN token alone
+    # The UNKNOWN item, and any item without tokens, averages the UNKNOWN
+    # column alone.
+    item_cols: list[list[int]] = [[0] for _ in range(n_items)]
     no_attr: list[int] = []
     for rec in records:
         row = item_index[rec.item]
-        cols = [col_index.get(tok, 0) for tok in rec.attributes]
-        if not cols:
-            matrix[row, 0] = 1.0
+        if rec.attributes:
+            item_cols[row] = [col_index.get(tok, 0) for tok in rec.attributes]
+        else:
             no_attr.append(row)
-            continue
-        w = 1.0 / len(cols)
-        for c in cols:
-            matrix[row, c] += w
+    indptr = np.zeros(n_items + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in item_cols], out=indptr[1:])
+    cols = np.fromiter((c for row in item_cols for c in row), dtype=np.int64, count=indptr[-1])
+    matrix = AttributeMatrix(indptr, cols, len(tokens))
     return AttributeSpec(tokens=tokens, matrix=matrix, vectors=vectors, mode=mode, no_attr_items=no_attr)
 
 
@@ -415,7 +459,7 @@ class PreparedData:
     tax_vocab: tuple[list[str], list[str], list[str]]
     tax_paths: np.ndarray
     attr_tokens: list[str]
-    attr_matrix: np.ndarray
+    attr_matrix: AttributeMatrix
     attr_vectors: np.ndarray | None
     attr_mode: str
     no_attr_items: list[int]
@@ -423,11 +467,6 @@ class PreparedData:
     test: list[EncodedSession]
     counts: dict[str, int]
     stats: dict
-
-    def __post_init__(self) -> None:
-        # Read-only, so the matrix's identity stands for its content: the
-        # θ catalog index of nirrec.evaluate is stamped with it.
-        self.attr_matrix.flags.writeable = False
 
     @property
     def n_items(self) -> int:
@@ -594,8 +633,8 @@ SHARD_BIN = "shard.bin"
 SHARD_INDEX = "index.json"
 INDEX_KEYS = ("item_ids", "tax_vocab", "attr_tokens", "attr_mode", "no_attr_items", "counts",
               "stats", "train_ids", "test_ids")
-SHARD_TENSORS = ("tax_paths", "attr_matrix", "train_offsets", "train_items", "train_gts",
-                 "test_offsets", "test_items", "test_gts")
+SHARD_TENSORS = ("tax_paths", "attr_indptr", "attr_cols", "train_offsets", "train_items",
+                 "train_gts", "test_offsets", "test_items", "test_gts")
 
 
 def _pack_sessions(sessions: list[EncodedSession]):
@@ -616,7 +655,8 @@ def save_shards(out_dir: str | Path, data: PreparedData) -> None:
     te_off, te_items, te_gts, te_ids = _pack_sessions(data.test)
     tensors = {
         "tax_paths": data.tax_paths.astype(np.float64),
-        "attr_matrix": data.attr_matrix,
+        "attr_indptr": data.attr_matrix.indptr.astype(np.float64),
+        "attr_cols": data.attr_matrix.cols.astype(np.float64),
         "train_offsets": tr_off.astype(np.float64),
         "train_items": tr_items.astype(np.float64),
         "train_gts": tr_gts.astype(np.float64),
@@ -657,13 +697,20 @@ def _check_ids(path: Path, name: str, arr: np.ndarray, lo: int, hi: int) -> None
         raise IngestionError(f"{path}: tensor {name!r} holds values other than integers {lo}..{hi}")
 
 
+def _check_offsets(path: Path, name: str, arr: np.ndarray, total: int) -> None:
+    """``arr`` must be integers rising strictly from 0 to ``total``."""
+    _check_ids(path, name, arr, 0, total)
+    if arr[0] != 0 or arr[-1] != total or np.any(np.diff(arr) <= 0):
+        raise IngestionError(f"{path}: tensor {name!r} does not rise strictly from 0 to {total}")
+
+
 def load_shards(shard_dir: str | Path) -> PreparedData:
     """Reload a shard directory written by :func:`save_shards`.
 
     Every tensor is checked against ``index.json`` (shapes, id ranges,
-    session offsets) before use; a disagreement is an IngestionError naming
-    the file and the key or tensor.  The values of ``attr_matrix`` are not
-    read, only its shape.
+    attribute-row and session offsets, ground truths outside their
+    histories) before use; a disagreement is an IngestionError naming the
+    file and the key or tensor.
     """
     shard_dir = Path(shard_dir)
     index_path = shard_dir / SHARD_INDEX
@@ -682,9 +729,15 @@ def load_shards(shard_dir: str | Path) -> PreparedData:
     tensors = load_tensors(bin_path)
     missing = [name for name in SHARD_TENSORS if name not in tensors]
     if missing:
-        raise IngestionError(f"{bin_path}: missing tensors {missing}")
+        dense = "attr_matrix" in tensors
+        hint = "; it holds a dense 'attr_matrix', so run prepare again" if dense else ""
+        raise IngestionError(f"{bin_path}: missing tensors {missing}{hint}")
     n_items, n_tokens = len(index["item_ids"]), len(index["attr_tokens"])
-    _check_shape(bin_path, "attr_matrix", tensors["attr_matrix"], (n_items, n_tokens))
+    attr_indptr, attr_cols = tensors["attr_indptr"], tensors["attr_cols"]
+    _check_shape(bin_path, "attr_indptr", attr_indptr, (n_items + 1,))
+    _check_shape(bin_path, "attr_cols", attr_cols, (attr_cols.size,))
+    _check_ids(bin_path, "attr_cols", attr_cols, 0, n_tokens - 1)
+    _check_offsets(bin_path, "attr_indptr", attr_indptr, attr_cols.size)
     tax_paths = tensors["tax_paths"]
     _check_shape(bin_path, "tax_paths", tax_paths, (n_items, 3))
     for level, vocab in enumerate(index["tax_vocab"]):
@@ -704,23 +757,25 @@ def load_shards(shard_dir: str | Path) -> PreparedData:
         _check_shape(bin_path, f"{name}_gts", gts, (len(ids),))
         _check_ids(bin_path, f"{name}_items", items, 1, n_items - 1)
         _check_ids(bin_path, f"{name}_gts", gts, 1, n_items - 1)
-        _check_ids(bin_path, f"{name}_offsets", offsets, 0, items.size)
-        if offsets[0] != 0 or offsets[-1] != items.size or np.any(np.diff(offsets) <= 0):
-            raise IngestionError(
-                f"{bin_path}: tensor '{name}_offsets' does not rise strictly from 0 to {items.size}"
-            )
+        _check_offsets(bin_path, f"{name}_offsets", offsets, items.size)
         bounds, history = offsets.astype(np.int64), items.astype(np.int64)
-        return [
-            EncodedSession(sid, history[bounds[i] : bounds[i + 1]].tolist(), int(gts[i]))
-            for i, sid in enumerate(ids)
-        ]
+        out = []
+        for i, sid in enumerate(ids):
+            sess = EncodedSession(sid, history[bounds[i] : bounds[i + 1]].tolist(), int(gts[i]))
+            if sess.gt in sess.history:
+                raise IngestionError(
+                    f"{bin_path}: tensor '{name}_gts' holds ground truth {sess.gt} of "
+                    f"session '{sid}', which is in its own history"
+                )
+            out.append(sess)
+        return out
 
     return PreparedData(
         item_ids=list(index["item_ids"]),
         tax_vocab=tuple(list(v) for v in index["tax_vocab"]),  # type: ignore[arg-type]
         tax_paths=tax_paths.astype(np.int64),
         attr_tokens=list(index["attr_tokens"]),
-        attr_matrix=tensors["attr_matrix"],
+        attr_matrix=AttributeMatrix(attr_indptr, attr_cols, n_tokens),
         attr_vectors=attr_vectors,
         attr_mode=index["attr_mode"],
         no_attr_items=[int(x) for x in index["no_attr_items"]],

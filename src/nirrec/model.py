@@ -226,8 +226,8 @@ def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, Trai
     """Load a checkpoint into the model :func:`init_params` builds for its
     stored config, and return it with that :class:`TrainConfig`.  Every
     fault (unreadable container, missing metadata, a vocabulary other than
-    ``data``'s, a tensor that is missing, differently shaped or not finite)
-    is an EvaluationError."""
+    ``data``'s, a tensor that is missing, unknown to the model, differently
+    shaped or not finite) is an EvaluationError."""
     try:
         raw = load_tensors(path)
     except IngestionError as e:
@@ -249,6 +249,11 @@ def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, Trai
     missing = [name for name in named if name not in raw]
     if missing:
         raise EvaluationError(f"checkpoint {path} is missing tensors {missing}")
+    unknown = sorted(set(raw) - set(named) - {CONFIG_ENTRY, DIGEST_ENTRY})
+    if unknown:
+        raise EvaluationError(
+            f"checkpoint {path} holds tensors this model does not name: {unknown}"
+        )
     for name, tensor in named.items():
         value = raw[name]
         if value.shape != tensor.shape:
@@ -345,7 +350,7 @@ def infer_candidate_embeddings(
     Never touches the item embedding table, so items outside it score the
     same way as catalog veterans.
     """
-    atr = ad.matmul(Tensor(data.attr_matrix[cand]), params.attr_table)
+    atr = ad.segment_mean(params.attr_table, *data.attr_matrix.gather(cand))
     return theta_forward(params.theta, atr)
 
 
@@ -417,7 +422,7 @@ def session_loss(
     if cfg.gamma >= 1.0:
         return SessionLossParts(ce, float(ce.data), 0.0, fwd.intent.clamped)
 
-    atr = ad.matmul(Tensor(data.attr_matrix[fwd.graph.nodes]), params.attr_table)
+    atr = ad.segment_mean(params.attr_table, *data.attr_matrix.gather(fwd.graph.nodes))
     lz = l_zero(fwd.v, atr, params.theta)
     loss = ad.add(
         ad.mul(Tensor(cfg.gamma), ce), ad.mul(Tensor(1.0 - cfg.gamma), lz)

@@ -451,6 +451,16 @@ class TestCheckpointConfig:
         assert main(["eval", str(shards), str(bad), "--out", str(tmp_path / "e")]) == 4
         assert repr(name) in capsys.readouterr().err
 
+    def test_unknown_entry_returns_four_and_names_it(self, shards, model_run, tmp_path, capsys):
+        raw = load_tensors(model_run)
+        raw["enc.unknown_extra"] = np.zeros(3)
+        extra = tmp_path / "extra.bin"
+        save_tensors(extra, raw)
+        with pytest.raises(EvaluationError, match="'enc.unknown_extra'"):
+            load_params(extra, load_shards(shards))
+        assert main(["eval", str(shards), str(extra), "--out", str(tmp_path / "e")]) == 4
+        assert "'enc.unknown_extra'" in capsys.readouterr().err
+
     def test_same_size_vocabulary_with_renamed_item_returns_four(
         self, corpus, shards, model_run, tmp_path, capsys
     ):
@@ -488,6 +498,16 @@ def _set(name, pos, value):
     return apply
 
 
+def _dense_attributes(index, t):
+    """Rewrite the attributes in the dense format of earlier shards."""
+    indptr, cols = t.pop("attr_indptr").astype(int), t.pop("attr_cols").astype(int)
+    matrix = np.zeros((len(index["item_ids"]), len(index["attr_tokens"])))
+    for i in range(len(indptr) - 1):
+        row = cols[indptr[i] : indptr[i + 1]]
+        np.add.at(matrix[i], row, 1.0 / len(row))
+    t["attr_matrix"] = matrix
+
+
 # Each case damages a valid shard directory. The error must name the file
 # (index.json for a fault of the index alone, else shard.bin) and the key or
 # tensor.
@@ -497,8 +517,21 @@ SHARD_FAULTS = {
         lambda index, t: index.pop("attr_tokens"), "index.json", "'attr_tokens'"
     ),
     "tax_vocab_levels": (lambda index, t: index["tax_vocab"].pop(), "index.json", "'tax_vocab'"),
-    "short_item_ids": (lambda index, t: index["item_ids"].pop(), "shard.bin", "'attr_matrix'"),
-    "short_attr_matrix": (_cut("attr_matrix"), "shard.bin", "'attr_matrix'"),
+    "short_item_ids": (lambda index, t: index["item_ids"].pop(), "shard.bin", "'attr_indptr'"),
+    "short_attr_matrix": (_cut("attr_indptr"), "shard.bin", "'attr_indptr'"),
+    "dense_attr_matrix": (_dense_attributes, "shard.bin", "['attr_indptr', 'attr_cols']"),
+    "falling_attr_indptr": (
+        _set("attr_indptr", 2, lambda index, t: t["attr_indptr"][1]),
+        "shard.bin", "'attr_indptr'",
+    ),
+    "attr_col_past_vocab": (
+        _set("attr_cols", 0, lambda index, t: len(index["attr_tokens"])),
+        "shard.bin", "'attr_cols'",
+    ),
+    "gt_in_history": (
+        _set("train_items", 0, lambda index, t: t["train_gts"][0]),
+        "shard.bin", "'train_gts'",
+    ),
     "short_tax_paths": (_cut("tax_paths"), "shard.bin", "'tax_paths'"),
     "dropped_train_offset": (_cut("train_offsets"), "shard.bin", "'train_offsets'"),
     "short_test_gts": (_cut("test_gts"), "shard.bin", "'test_gts'"),

@@ -368,8 +368,9 @@ class TestCatalogIndex:
 
     def test_attr_matrix_read_only_and_kept_by_replace(self, monkeypatch):
         data = tiny_data()
-        with pytest.raises(ValueError):
-            data.attr_matrix[1, 1] = 3.0
+        for arr in (data.attr_matrix.indptr, data.attr_matrix.cols):
+            with pytest.raises(ValueError):
+                arr[1] = 3
         split = replace(data, test=data.test[:1])
         assert split.attr_matrix is data.attr_matrix
         cfg = small_cfg(epochs=1)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from nirrec.autodiff import Rng
+from nirrec.autodiff import Rng, load_tensors
 from nirrec.errors import ConfigurationError, DomainError, IngestionError
 from nirrec.ingest import (
     PrepareOptions,
@@ -23,6 +23,17 @@ from nirrec.ingest import (
     time_split,
 )
 from nirrec.sessiongraph import Session
+
+
+def dense(matrix):
+    """The dense item×token averaging matrix that a CSR AttributeMatrix
+    stands for, built entry by entry."""
+    out = np.zeros(matrix.shape)
+    for i in range(matrix.shape[0]):
+        row = matrix.cols[matrix.indptr[i] : matrix.indptr[i + 1]]
+        for c in row:
+            out[i, c] += 1.0 / len(row)
+    return out
 
 
 def write_jsonl(path, rows):
@@ -154,6 +165,25 @@ class TestLoadCatalog:
         write_jsonl(p, [{"item": "i1"}])
         with pytest.raises(IngestionError, match="'item' and 'attributes'"):
             load_catalog(p)
+
+
+class TestLineStreaming:
+    """Both JSON-lines loaders read one line at a time, never the whole
+    file, and report the same line numbers for any line ending."""
+
+    @pytest.mark.parametrize("load, good, bad_key", [
+        (load_sessions, session_row("a", ["x", "y"]), "'session_id' and 'events'"),
+        (load_catalog, catalog_row("i1"), "'item' and 'attributes'"),
+    ])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_numbers_without_reading_whole_file(
+        self, tmp_path, monkeypatch, load, good, bad_key, newline
+    ):
+        p = tmp_path / "f.jsonl"
+        p.write_bytes(newline.join([json.dumps(good), "", "{}", ""]).encode("utf-8"))
+        monkeypatch.setattr(type(p), "read_text", lambda *a, **k: pytest.fail("read whole"))
+        with pytest.raises(IngestionError, match=f":3: expected keys {bad_key}"):
+            load(p)
 
 
 class TestTimeSplit:
@@ -401,22 +431,27 @@ class TestEncodeAttributes:
         spec = encode_attributes(self.records(), self.index(), 4, mode="trainable")
         assert spec.tokens == ["<unk>", "red", "wool"]
         assert spec.vectors is None
-        np.testing.assert_allclose(spec.matrix[1], [0.0, 0.5, 0.5])
-        np.testing.assert_allclose(spec.matrix[2], [0.0, 1.0, 0.0])
-        np.testing.assert_allclose(spec.matrix[3], [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(spec.matrix[0], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(spec.matrix.indptr, [0, 1, 3, 4, 5])
+        np.testing.assert_array_equal(spec.matrix.cols, [0, 1, 2, 1, 0])
+        assert spec.matrix.shape == (4, 3)
+        matrix = dense(spec.matrix)
+        np.testing.assert_allclose(matrix[1], [0.0, 0.5, 0.5])
+        np.testing.assert_allclose(matrix[2], [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(matrix[3], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(matrix[0], [1.0, 0.0, 0.0])
         assert spec.no_attr_items == [3]
 
     def test_rows_sum_to_one(self):
         spec = encode_attributes(self.records(), self.index(), 4, mode="trainable")
-        np.testing.assert_allclose(spec.matrix.sum(axis=1), np.ones(4))
+        np.testing.assert_allclose(dense(spec.matrix).sum(axis=1), np.ones(4))
 
     def test_duplicate_tokens_accumulate(self):
         from nirrec.ingest import CatalogRecord
 
         recs = [CatalogRecord("i1", None, None, ("red", "red", "wool"))]
         spec = encode_attributes(recs, {"i1": 1}, 2, mode="trainable")
-        np.testing.assert_allclose(spec.matrix[1], [0.0, 2.0 / 3.0, 1.0 / 3.0])
+        np.testing.assert_array_equal(spec.matrix.cols[spec.matrix.indptr[1] :], [1, 1, 2])
+        np.testing.assert_allclose(dense(spec.matrix)[1], [0.0, 2.0 / 3.0, 1.0 / 3.0])
 
     def test_pretrained_loads_vectors(self, tmp_path):
         vf = tmp_path / "v.txt"
@@ -451,7 +486,7 @@ class TestEncodeAttributes:
         idx = {f"i{j}": j + 1 for j in range(20)}
         spec = encode_attributes(recs, idx, 21, mode="pretrained", vectors_path=vf)
         assert "tok19" not in spec.tokens
-        row = spec.matrix[idx["i19"]]
+        row = dense(spec.matrix)[idx["i19"]]
         assert row[0] == 1.0  # all weight on the UNKNOWN column
 
     def test_vector_file_dimension_mismatch(self, tmp_path):
@@ -552,7 +587,8 @@ class TestPrepare:
         d1 = prepare(spath, cpath, opts)
         d2 = prepare(spath, cpath, opts)
         np.testing.assert_array_equal(d1.tax_paths, d2.tax_paths)
-        np.testing.assert_array_equal(d1.attr_matrix, d2.attr_matrix)
+        np.testing.assert_array_equal(d1.attr_matrix.indptr, d2.attr_matrix.indptr)
+        np.testing.assert_array_equal(d1.attr_matrix.cols, d2.attr_matrix.cols)
         assert d1.item_ids == d2.item_ids
 
 
@@ -566,7 +602,9 @@ class TestShardRoundTrip:
         assert back.item_ids == data.item_ids
         assert back.tax_vocab == data.tax_vocab
         np.testing.assert_array_equal(back.tax_paths, data.tax_paths)
-        np.testing.assert_array_equal(back.attr_matrix, data.attr_matrix)
+        assert back.attr_matrix.shape == data.attr_matrix.shape
+        np.testing.assert_array_equal(back.attr_matrix.indptr, data.attr_matrix.indptr)
+        np.testing.assert_array_equal(back.attr_matrix.cols, data.attr_matrix.cols)
         assert back.attr_vectors is None
         assert back.attr_mode == data.attr_mode
         assert back.no_attr_items == data.no_attr_items
@@ -605,6 +643,29 @@ class TestShardRoundTrip:
         save_shards(out2, prepare(spath, cpath, opts))
         assert (out1 / "shard.bin").read_bytes() == (out2 / "shard.bin").read_bytes()
         assert (out1 / "index.json").read_bytes() == (out2 / "index.json").read_bytes()
+
+    def test_attributes_stored_as_csr_rows(self, tmp_path):
+        """The shard holds one column id per listed token and one offset per
+        item, not a dense item×token matrix."""
+        spath, cpath = toy_corpus(tmp_path)
+        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        save_shards(tmp_path / "shards", data)
+        tensors = load_tensors(tmp_path / "shards" / "shard.bin")
+        assert "attr_matrix" not in tensors
+        nnz = 1 + 2 + 1 + 1 + 2 + 1 + 1  # UNKNOWN, apple, pear, kale, chard, bolt, nut
+        assert tensors["attr_cols"].shape == (nnz,)
+        assert tensors["attr_indptr"].shape == (data.n_items + 1,)
+        back = load_shards(tmp_path / "shards").attr_matrix
+        assert back.nbytes == 8 * (nnz + data.n_items + 1)
+
+    def test_ground_truth_in_history_rejected(self, tmp_path):
+        spath, cpath = toy_corpus(tmp_path)
+        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        sess = data.test[1]
+        sess.history[0] = sess.gt
+        save_shards(tmp_path / "shards", data)
+        with pytest.raises(IngestionError, match=f"'test_gts'.*'{sess.session_id}'"):
+            load_shards(tmp_path / "shards")
 
     def test_missing_shard_dir_rejected(self, tmp_path):
         with pytest.raises(IngestionError, match="not a shard directory"):

@@ -15,7 +15,7 @@ from nirrec.errors import (
     NonFiniteError,
     TrainingError,
 )
-from nirrec.ingest import EncodedSession, PreparedData
+from nirrec.ingest import AttributeMatrix, EncodedSession, PreparedData
 from nirrec.model import (
     CANDIDATE_MODES,
     TrainConfig,
@@ -31,6 +31,7 @@ from nirrec.model import (
     session_loss,
     train,
 )
+from nirrec.zeroshot import theta_forward
 
 
 def tiny_data(n_items=8, n_tokens=6, seed=0):
@@ -45,11 +46,11 @@ def tiny_data(n_items=8, n_tokens=6, seed=0):
     for i in range(1, n_items):
         tax_paths[i] = [rng.integers(1, s) for s in sizes]
     attr_tokens = ["<unk>"] + [f"tok{j}" for j in range(1, n_tokens)]
-    attr_matrix = np.zeros((n_items, n_tokens))
-    attr_matrix[0, 0] = 1.0
+    # Item 0 averages the UNKNOWN token alone, every other item two tokens.
+    cols = [0]
     for i in range(1, n_items):
-        cols = rng.choice(np.arange(1, n_tokens), size=2, replace=False)
-        attr_matrix[i, cols] = 0.5
+        cols += rng.choice(np.arange(1, n_tokens), size=2, replace=False).tolist()
+    attr_matrix = AttributeMatrix(np.r_[0, 1:2 * n_items:2], cols, n_tokens)
     train_sessions = [
         EncodedSession("s1", [1, 2, 3], 4),
         EncodedSession("s2", [2, 3], 5),
@@ -539,6 +540,96 @@ class TestSharedThetaTable:
         log = train(tiny_data(), small_cfg(epochs=3, batch_size=2)).epoch_log
         assert len(rows) == 3 * 2
         assert [e["theta_rows"] for e in log] == [sum(rows[i : i + 2]) for i in (0, 2, 4)]
+
+
+def write_attribute_corpus(tmp_path):
+    """A catalog whose attributes cover the sparse path's cases: an item
+    without attributes, a token listed twice, and a token ("rare") that
+    the vector file lacks, so pretrained mode maps it to UNKNOWN.  The
+    vector file covers 22 of the 23 tokens, above the 95% floor."""
+    records = [
+        {"item": "a0", "taxonomy": ["x", "y", "z"], "attributes": []},
+        {"item": "a1", "taxonomy": ["x", "y", "z"], "attributes": ["red", "red", "wool"]},
+        {"item": "a2", "taxonomy": ["x", "y", "z"], "attributes": ["rare"]},
+        {"item": "a3", "taxonomy": ["x", "y", "w"], "attributes": ["rare", "wool", "red"]},
+    ] + [
+        {"item": f"b{j:02d}", "taxonomy": ["x", "v", "w"], "attributes": [f"t{j}", "wool"]}
+        for j in range(20)
+    ]
+    day = 86_400
+    sessions = [
+        {"session_id": f"s{k}", "events": [
+            {"item": item, "ts": t0 + 60 * e} for e, item in enumerate(["a1", "b03", "a3"])
+        ]}
+        for k, t0 in enumerate([0, day, 12 * day])
+    ]
+    paths = tmp_path / "catalog.jsonl", tmp_path / "sessions.jsonl", tmp_path / "vectors.txt"
+    for path, rows in zip(paths, (records, sessions)):
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    rng = np.random.default_rng(4)
+    tokens = ["red", "wool"] + [f"t{j}" for j in range(20)]
+    paths[2].write_text(
+        "".join(f"{tok} {' '.join(map(str, rng.normal(size=3)))}\n" for tok in tokens),
+        encoding="utf-8",
+    )
+    return records, *paths
+
+
+def dense_attributes(records, data):
+    """The item×token averaging matrix, entry by entry from the catalog
+    records: weight 1/|tokens| per listed token, a token missing from the
+    vocabulary counting as UNKNOWN, an item without tokens (and the UNKNOWN
+    item) all on UNKNOWN."""
+    col = {tok: c for c, tok in enumerate(data.attr_tokens)}
+    row = {item: i for i, item in enumerate(data.item_ids)}
+    dense = np.zeros((data.n_items, len(data.attr_tokens)))
+    dense[0, 0] = 1.0
+    for rec in records:
+        toks = rec["attributes"] or ["<unk>"]
+        for tok in toks:
+            dense[row[rec["item"]], col.get(tok, 0)] += 1.0 / len(toks)
+    return dense
+
+
+class TestSparseAttributes:
+    """θ from the CSR attribute rows equals θ from a dense matrix built
+    from the catalog records, in values and in attribute-table gradients."""
+
+    @pytest.mark.parametrize("mode", ["trainable", "pretrained"])
+    def test_theta_matches_dense_reference(self, tmp_path, mode):
+        from nirrec.evaluate import catalog_table
+        from nirrec.ingest import PrepareOptions, prepare
+
+        records, catalog, sessions, vectors = write_attribute_corpus(tmp_path)
+        vectors_path = str(vectors) if mode == "pretrained" else None
+        data = prepare(sessions, catalog, PrepareOptions(attr_mode=mode, vectors_path=vectors_path))
+        assert ("rare" in data.attr_tokens) == (mode == "trainable")
+        dense = dense_attributes(records, data)
+        params = init_params(data, small_cfg(d_a=3))
+        table, th = params.attr_table.data, params.theta
+
+        def theta(atr):
+            return np.tanh(atr @ th.h_w.data + th.h_b.data) @ th.o_w.data + th.o_b.data
+
+        np.testing.assert_allclose(data.attr_matrix @ table, dense @ table, rtol=0, atol=1e-12)
+        got = catalog_table(params, data).data
+        np.testing.assert_allclose(got, theta(dense @ table)[1:], rtol=0, atol=1e-12)
+
+        rows = np.array([3, 1, 3, 0, data.n_items - 1])  # unsorted, repeated, UNKNOWN
+        w = np.random.default_rng(2).normal(size=(len(rows), params.d))
+        with ad.Tape() as tape:
+            emb = infer_candidate_embeddings(params, data, rows)
+            tape.backward(ad.reduce_sum(ad.mul(emb, Tensor(w))))
+        np.testing.assert_allclose(emb.data, theta(dense[rows] @ table), rtol=0, atol=1e-12)
+        if mode == "trainable":
+            ref = init_params(data, small_cfg(d_a=3))
+            with ad.Tape() as tape:
+                atr = ad.matmul(Tensor(dense[rows]), ref.attr_table)
+                out = ad.reduce_sum(ad.mul(theta_forward(ref.theta, atr), Tensor(w)))
+                tape.backward(out)
+            np.testing.assert_allclose(
+                params.attr_table.grad, ref.attr_table.grad, rtol=0, atol=1e-12
+            )
 
 
 class TestCheckpointMetadata:

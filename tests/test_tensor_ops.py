@@ -198,6 +198,53 @@ class TestGradientsMatchFiniteDifferences:
         v = rng.uniform(-2, 2, size=7)
         check_unary(lambda t: ad.mul(ad.pick(t, 3), ad.pick(t, 3)), v)
 
+    def test_segment_mean_gradients(self):
+        """Repeated columns, rows of length 1 and a column used by several
+        segments."""
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-2, 2, size=(5, 3))
+        cols = [2, 2, 0, 4, 1, 2, 3, 2]
+        starts = [0, 1, 3, 4, 7]  # segments [2], [2, 0], [4], [1, 2, 3], [2]
+        seg = [0, 1, 1, 2, 3, 3, 3, 4]
+        w = rng.uniform(-1, 1, size=(5, 3))
+
+        def loss(t):
+            out = ad.segment_mean(t, cols, starts, seg)
+            return ad.reduce_sum(ad.tanh(ad.mul(out, ad.Tensor(w))))
+
+        check_unary(loss, x, rtol=1e-6)
+
+    def test_segment_mean_adds_into_an_existing_gradient(self):
+        """The backward scatters into the table's gradient buffer in place;
+        what was there, in either memory order, is kept and added to."""
+        rng = np.random.default_rng(10)
+        cols, starts = [1, 0, 1], [0, 2]
+        g = rng.normal(size=(2, 3))
+        want = np.zeros((3, 3))
+        for r, row in enumerate([[1, 0], [1]]):
+            for c in row:
+                want[c] += g[r] / len(row)
+        for prior in (np.ones((3, 3)), np.asfortranarray(rng.normal(size=(3, 3)))):
+            table = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+            table.grad = prior.copy(order="K")
+            with ad.Tape() as tape:
+                tape.backward(ad.segment_mean(table, cols, starts, [0, 0, 1]), seed=g)
+            np.testing.assert_allclose(table.grad, prior + want, rtol=1e-14)
+
+    def test_segment_mean_is_the_weighted_dense_product(self):
+        """Each row is the mean of its columns' table rows, a repeated
+        column counting twice: the dense 1/length-weighted matrix product."""
+        rng = np.random.default_rng(9)
+        table = rng.normal(size=(4, 2))
+        cols, starts = [3, 3, 1, 0, 2, 1], [0, 3, 4]
+        dense = np.zeros((3, 4))
+        for r, row in enumerate([[3, 3, 1], [0], [2, 1]]):
+            for c in row:
+                dense[r, c] += 1.0 / len(row)
+        out = ad.segment_mean(ad.Tensor(table), cols, starts, [0, 0, 0, 1, 2, 2])
+        np.testing.assert_allclose(out.data, dense @ table, rtol=1e-14, atol=1e-15)
+        assert ad.segment_mean(ad.Tensor(table), [], [], []).shape == (0, 2)
+
     def test_concat_of_sum_gives_ones(self):
         """Gradient of sum(concat(a, b)) is all-ones into each input."""
         a = ad.Tensor([1.0, 2.0], requires_grad=True)
@@ -341,3 +388,20 @@ class TestErrorSurfaces:
             ad.take_rows(ad.Tensor(np.ones((2, 2))), [0, 3])
         with pytest.raises(DimensionError):
             ad.concat([ad.Tensor(np.ones((2, 2))), ad.Tensor(np.ones((3, 2)))])
+
+    def test_segment_mean_errors(self):
+        """Columns must index the table; segments must start at 0, be
+        non-empty and ascend; the table is 2-d and every column has a
+        segment id."""
+        table = ad.Tensor(np.ones((3, 2)))
+        with pytest.raises(DomainError, match="column 3"):
+            ad.segment_mean(table, [0, 3], [0], [0, 0])
+        with pytest.raises(DomainError, match="column -1"):
+            ad.segment_mean(table, [0, -1], [0], [0, 0])
+        for starts in ([1], [0, 0], [0, 2, 1], [0, 3]):
+            with pytest.raises(DomainError, match="non-empty"):
+                ad.segment_mean(table, [0, 1, 2], starts, [0, 0, 0])
+        with pytest.raises(DimensionError):
+            ad.segment_mean(ad.Tensor(np.ones(3)), [0], [0], [0])
+        with pytest.raises(DimensionError, match="segment id"):
+            ad.segment_mean(table, [0, 1], [0], [0])
