@@ -14,6 +14,7 @@ tape:`` block and only into tensors whose ``requires_grad`` flag is set
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,7 +61,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         arr = np.asarray(data, dtype=np.float64, order="C")
-        if arr.size and not np.all(np.isfinite(arr)):
+        # A finite sum means every element is finite; a sum that overflows
+        # (NumPy warns) falls back to the elementwise check.
+        if not (math.isfinite(arr.sum()) or np.isfinite(arr).all()):
             raise NonFiniteError("tensor contains NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -485,9 +488,9 @@ def take_rows(t, indices) -> Tensor:
     out = Tensor(t.data[idx])
 
     def rule(g: np.ndarray) -> None:
-        acc = np.zeros_like(t.data)
-        np.add.at(acc, idx, g)
-        _accumulate(t, acc)
+        # In place: the source is often a whole embedding table, of which
+        # a lookup touches a few rows.
+        np.add.at(_grad_buffer(t), idx, g)
 
     return _record(out, (t,), rule)
 
@@ -500,9 +503,9 @@ def segment_mean(table, cols, starts, seg) -> Tensor:
 
     That is the product with ``table`` of a sparse matrix whose row r puts
     weight 1/length on each column of segment r, so a column listed twice
-    weighs twice.  Forward is one ``np.add.reduceat``, backward one
-    ``np.add.at`` scatter into ``table``'s gradient buffer.  Segments must
-    be non-empty.
+    weighs twice.  Forward sums the gathered rows one position at a time
+    (:func:`_segment_sums`), backward is one ``np.add.at`` scatter into
+    ``table``'s gradient buffer.  Segments must be non-empty.
     """
     table = _as_tensor(table)
     cols = np.asarray(cols, dtype=np.int64)
@@ -524,7 +527,9 @@ def segment_mean(table, cols, starts, seg) -> Tensor:
     lengths[-1, 0] = cols.size - starts[-1]
     if starts[0] != 0 or lengths.min() < 1:
         raise DomainError("segment_mean: segments must start at 0 and be non-empty")
-    out = Tensor(np.add.reduceat(table.data[cols], starts, axis=0) / lengths)
+    sums = _segment_sums(table.data, cols, starts, lengths[:, 0])
+    sums /= lengths
+    out = Tensor(sums)
 
     def rule(g: np.ndarray) -> None:
         d = table.shape[1]
@@ -534,6 +539,29 @@ def segment_mean(table, cols, starts, seg) -> Tensor:
         np.add.at(_grad_buffer(table).reshape(-1), flat, (g / lengths)[seg].ravel())
 
     return _record(out, (table,), rule)
+
+
+def _segment_sums(table: np.ndarray, cols, starts, lengths) -> np.ndarray:
+    """Row r is ``table[cols[starts[r]]] + table[cols[starts[r] + 1]] + ...``
+    over its ``lengths[r]`` positions, added left to right.
+
+    One vectorised step per position: every row takes its p-th column at
+    step p, so the work is the nnz gathered rows plus one pass per
+    position over the rows still that long, found once by sorting the
+    rows past the shortest length.  ``np.add.reduceat`` instead loops
+    per segment and per column."""
+    out = table[cols[starts]]
+    short = int(lengths.min())
+    for p in range(1, short):
+        out += table[cols[starts + p]]
+    longer = np.flatnonzero(lengths > short)
+    if longer.size:
+        longer = longer[np.argsort(-lengths[longer], kind="stable")]
+        neg_len = -lengths[longer]  # ascending
+        for p in range(short, int(lengths.max())):
+            rows = longer[: int(np.searchsorted(neg_len, -p))]  # length > p
+            out[rows] += table[cols[starts[rows] + p]]
+    return out
 
 
 def pick(t, index: int) -> Tensor:

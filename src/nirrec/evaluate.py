@@ -34,6 +34,11 @@ from .model import (
 
 SKIP_REASONS = ("no_candidates", "gt_not_candidate")
 
+# Catalog rows θ maps per call when it builds the catalog index: a block's
+# temporaries (its attribute rows and θ's hidden layer) stay within L2
+# instead of spilling the whole catalog's to memory.
+CATALOG_BLOCK_ROWS = 384
+
 
 @dataclass
 class RankedResult:
@@ -145,9 +150,11 @@ class CatalogIndex:
     with an exact stamp of what it was mapped from.
 
     θ depends only on the parameters and the attribute matrix, never on
-    the session.  The stamp keeps copies of ``attr_table`` and the four θ
-    arrays, compared by value because Adam and finite-difference checks
-    write them in place, and a weak reference to the attribute matrix.
+    the session.  The table is mapped in blocks of ``CATALOG_BLOCK_ROWS``
+    rows into one array, which is then made read-only.  The stamp keeps
+    copies of ``attr_table`` and the four θ arrays, compared by value
+    because Adam and finite-difference checks write them in place, and a
+    weak reference to the attribute matrix.
     The CSR arrays of :class:`nirrec.ingest.AttributeMatrix` are read-only,
     so its identity stands for its content, and a replaced matrix is freed,
     not kept alive.
@@ -156,9 +163,12 @@ class CatalogIndex:
     def __init__(self, params: ModelParams, data: PreparedData) -> None:
         self.arrays = tuple(a.copy() for a in _stamped_arrays(params))
         self.matrix = weakref.ref(data.attr_matrix)
-        emb = infer_candidate_embeddings(params, data, np.arange(1, data.n_items))
-        emb.data.flags.writeable = False
-        self.table = Tensor(emb.data)
+        table = np.empty((data.n_items - 1, params.theta.d))
+        for lo in range(0, len(table), CATALOG_BLOCK_ROWS):
+            rows = np.arange(lo + 1, min(lo + 1 + CATALOG_BLOCK_ROWS, data.n_items))
+            table[lo : lo + len(rows)] = infer_candidate_embeddings(params, data, rows).data
+        table.flags.writeable = False
+        self.table = Tensor(table)
 
     def matches(self, params: ModelParams, data: PreparedData) -> bool:
         return (

@@ -287,24 +287,25 @@ def load_vector_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
         raise IngestionError(f"vector file not found: {path}")
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise IngestionError(f"{path}:{lineno}: expected 'token v1 v2 …'")
-        token = parts[0]
-        try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-        except ValueError as e:
-            raise IngestionError(f"{path}:{lineno}: non-numeric vector component") from e
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise IngestionError(
-                f"{path}:{lineno}: vector has {vec.size} components, expected {dim}"
-            )
-        vectors[token] = vec
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise IngestionError(f"{path}:{lineno}: expected 'token v1 v2 …'")
+            token = parts[0]
+            try:
+                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError as e:
+                raise IngestionError(f"{path}:{lineno}: non-numeric vector component") from e
+            if dim is None:
+                dim = vec.size
+            elif vec.size != dim:
+                raise IngestionError(
+                    f"{path}:{lineno}: vector has {vec.size} components, expected {dim}"
+                )
+            vectors[token] = vec
     if dim is None:
         raise IngestionError(f"{path}: vector file is empty")
     return vectors, dim
@@ -380,23 +381,23 @@ def encode_attributes(
     item_index: Mapping[str, int],
     n_items: int,
     mode: str = "trainable",
-    vectors_path: str | Path | None = None,
+    vector_file: tuple[dict[str, np.ndarray], int] | None = None,
 ) -> AttributeSpec:
     """Build the attribute vocabulary and the item×token averaging matrix.
 
     ``trainable`` allocates columns for every catalog token (the embedding
-    table itself is a model parameter).  ``pretrained`` loads a vector
-    file, requires ≥95% token coverage, and maps missing tokens to the
-    UNKNOWN column whose vector is zero.
+    table itself is a model parameter).  ``pretrained`` takes a vector
+    file as :func:`load_vector_file` parses it, requires ≥95% token
+    coverage, and maps missing tokens to the UNKNOWN column whose vector
+    is zero.
     """
     if mode not in ("trainable", "pretrained"):
         raise ConfigurationError(f"attribute mode must be trainable or pretrained, got {mode!r}")
     all_tokens = sorted({tok for rec in records for tok in rec.attributes})
-    file_vectors: dict[str, np.ndarray] | None = None
     if mode == "pretrained":
-        if vectors_path is None:
+        if vector_file is None:
             raise ConfigurationError("pretrained attribute mode requires a vector file")
-        file_vectors, dim = load_vector_file(vectors_path)
+        file_vectors, dim = vector_file
         if all_tokens:
             covered = sum(1 for tok in all_tokens if tok in file_vectors)
             frac = covered / len(all_tokens)
@@ -540,11 +541,13 @@ def prepare(
     # taxonomy paths: explicit, clustered from labels, or UNKNOWN
     paths: dict[str, tuple[str, str, str]] = {}
     flat_labels = {rec.item: rec.labels for rec in records if rec.taxonomy is None and rec.labels}
+    # The label vectors and the pretrained attribute vectors share one parse.
+    vector_file = None
+    if opts.vectors_path is not None and (flat_labels or opts.attr_mode == "pretrained"):
+        vector_file = load_vector_file(opts.vectors_path)
     if flat_labels:
         label_set = {lab for labs in flat_labels.values() for lab in labs}
-        file_vectors = None
-        if opts.vectors_path is not None:
-            file_vectors, _ = load_vector_file(opts.vectors_path)
+        file_vectors = None if vector_file is None else vector_file[0]
         vectors = _synth_label_vectors(label_set, opts, file_vectors)
         clustered, clamp_warnings = build_taxonomy_tree(
             flat_labels, vectors, opts.level_sizes, Rng(opts.seed, "taxonomy")
@@ -572,7 +575,7 @@ def prepare(
     )
 
     attr = encode_attributes(
-        records, item_index, len(item_ids), mode=opts.attr_mode, vectors_path=opts.vectors_path
+        records, item_index, len(item_ids), mode=opts.attr_mode, vector_file=vector_file
     )
 
     train_raw, test_raw, boundary = time_split(sessions, opts.boundary_days)

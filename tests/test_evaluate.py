@@ -353,6 +353,28 @@ class TestCatalogIndex:
         self.assert_fresh(loaded, reloaded, cfg)
         assert len(rows) == 9
 
+    def test_blocked_table_matches_one_pass(self, tmp_path, monkeypatch):
+        """With blocks smaller than the catalog, the index maps every item
+        once, block by block, into a table equal to θ over the whole
+        catalog in one call, and evaluation ranks as on the uncached path."""
+        import nirrec.evaluate as eval_mod
+
+        data = prepare(*write_toy_dataset(tmp_path))
+        cfg = small_cfg(epochs=1, batch_size=8)
+        params = train(data, cfg).params
+        monkeypatch.setattr(eval_mod, "CATALOG_BLOCK_ROWS", 6)
+        rows = count_theta_maps(monkeypatch)
+        report = evaluate(params, data, cfg)
+        n = data.n_items - 1
+        assert n > 2 * 6 and n % 6  # several blocks, the last one short
+        assert rows == [6] * (n // 6) + [n % 6]
+        one_pass = infer_candidate_embeddings(params, data, np.arange(1, data.n_items)).data
+        np.testing.assert_allclose(params.catalog_index.table.data, one_pass, rtol=0, atol=1e-12)
+        for res, ranking in zip(report.results, per_session_rankings(params, data, cfg)):
+            np.testing.assert_array_equal(res.ranking, ranking)
+        evaluate(params, data, cfg)
+        assert sum(rows) == n
+
     def test_replaced_matrix_is_freed_and_rebuilt(self, monkeypatch):
         data = tiny_data()
         cfg = small_cfg(epochs=1)

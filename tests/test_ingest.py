@@ -185,6 +185,27 @@ class TestLineStreaming:
         with pytest.raises(IngestionError, match=f":3: expected keys {bad_key}"):
             load(p)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_vector_file_line_numbers_without_reading_whole_file(
+        self, tmp_path, monkeypatch, newline
+    ):
+        p = tmp_path / "v.txt"
+        p.write_bytes(newline.join(["a 1.0 2.0", "", "b 3.0", ""]).encode("utf-8"))
+        read_text = type(p).read_text
+
+        def guarded(path, *a, **k):
+            if path == p:
+                pytest.fail("read whole")
+            return read_text(path, *a, **k)
+
+        monkeypatch.setattr(type(p), "read_text", guarded)
+        with pytest.raises(IngestionError, match=":3: vector has 1 components, expected 2"):
+            load_vector_file(p)
+        p.write_bytes(newline.join(["a 1.0 2.0", "", "b 3.0 -4.5", ""]).encode("utf-8"))
+        vectors, dim = load_vector_file(p)
+        assert dim == 2 and list(vectors) == ["a", "b"]
+        np.testing.assert_array_equal(vectors["b"], [3.0, -4.5])
+
 
 class TestTimeSplit:
     def oracle(self, sessions, days):
@@ -457,7 +478,7 @@ class TestEncodeAttributes:
         vf = tmp_path / "v.txt"
         vf.write_text("red 1.0 2.0\nwool 3.0 4.0\n", encoding="utf-8")
         spec = encode_attributes(
-            self.records(), self.index(), 4, mode="pretrained", vectors_path=vf
+            self.records(), self.index(), 4, mode="pretrained", vector_file=load_vector_file(vf)
         )
         assert spec.tokens == ["<unk>", "red", "wool"]
         np.testing.assert_allclose(spec.vectors[0], [0.0, 0.0])
@@ -474,7 +495,7 @@ class TestEncodeAttributes:
         ]  # only 1 of 20 tokens covered
         idx = {f"i{j}": j + 1 for j in range(20)}
         with pytest.raises(IngestionError, match="95%"):
-            encode_attributes(recs, idx, 21, mode="pretrained", vectors_path=vf)
+            encode_attributes(recs, idx, 21, mode="pretrained", vector_file=load_vector_file(vf))
 
     def test_pretrained_miss_maps_to_unknown(self, tmp_path):
         from nirrec.ingest import CatalogRecord
@@ -484,7 +505,7 @@ class TestEncodeAttributes:
         vf.write_text("\n".join(lines) + "\n", encoding="utf-8")
         recs = [CatalogRecord(f"i{j}", None, None, (f"tok{j}",)) for j in range(20)]
         idx = {f"i{j}": j + 1 for j in range(20)}
-        spec = encode_attributes(recs, idx, 21, mode="pretrained", vectors_path=vf)
+        spec = encode_attributes(recs, idx, 21, mode="pretrained", vector_file=load_vector_file(vf))
         assert "tok19" not in spec.tokens
         row = dense(spec.matrix)[idx["i19"]]
         assert row[0] == 1.0  # all weight on the UNKNOWN column
@@ -498,6 +519,8 @@ class TestEncodeAttributes:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="trainable or pretrained"):
             encode_attributes(self.records(), self.index(), 4, mode="frozen")
+        with pytest.raises(ConfigurationError, match="requires a vector file"):
+            encode_attributes(self.records(), self.index(), 4, mode="pretrained")
 
 
 def toy_corpus(tmp_path, n_days=12):
@@ -634,6 +657,44 @@ class TestShardRoundTrip:
         back = load_shards(out)
         np.testing.assert_array_equal(back.attr_vectors, data.attr_vectors)
         assert back.pretrained_d_a == 2
+
+    def test_vector_file_parsed_once(self, tmp_path, monkeypatch):
+        """The label-only items' clustering and the pretrained attribute
+        vectors share one parse of the vector file, and the prepared data
+        is what a parse per use gave."""
+        import nirrec.ingest as ingest_mod
+
+        spath, cpath = toy_corpus(tmp_path)
+        vf = tmp_path / "v.txt"
+        tokens = ["sweet", "crisp", "bitter", "steel", "hardware"]
+        vf.write_text(
+            "\n".join(f"{t} {i + 1}.0 {i + 2}.0" for i, t in enumerate(tokens)) + "\n",
+            encoding="utf-8",
+        )
+        opts = PrepareOptions(level_sizes=(3, 2, 1), attr_mode="pretrained", vectors_path=str(vf))
+        real = ingest_mod.load_vector_file
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(ingest_mod, "load_vector_file", counting)
+        save_shards(tmp_path / "once", prepare(spath, cpath, opts))
+        assert calls == [str(vf)]
+
+        # As before: the attribute vectors come from a parse of their own.
+        encode = ingest_mod.encode_attributes
+        monkeypatch.setattr(
+            ingest_mod,
+            "encode_attributes",
+            lambda *a, vector_file, **k: encode(*a, vector_file=real(vf), **k),
+        )
+        save_shards(tmp_path / "twice", prepare(spath, cpath, opts))
+        assert len(calls) == 2
+        for name in ("shard.bin", "index.json"):
+            once = (tmp_path / "once" / name).read_bytes()
+            assert once == (tmp_path / "twice" / name).read_bytes()
 
     def test_shard_bytes_deterministic(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)

@@ -198,6 +198,45 @@ class TestGradientsMatchFiniteDifferences:
         v = rng.uniform(-2, 2, size=7)
         check_unary(lambda t: ad.mul(ad.pick(t, 3), ad.pick(t, 3)), v)
 
+    def test_take_rows_repeated_index_gradients(self):
+        """A row looked up several times gets the sum of its lookups'
+        gradients, added onto the gradient already in the table."""
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-2, 2, size=(5, 3))
+        idx = [3, 1, 3, 3, 0]
+        w = rng.uniform(-1, 1, size=(5, 3))
+
+        def loss(t):
+            return ad.reduce_sum(ad.tanh(ad.mul(ad.take_rows(t, idx), ad.Tensor(w))))
+
+        check_unary(loss, x, rtol=1e-6)
+        table = ad.Tensor(x, requires_grad=True)
+        prior = rng.normal(size=x.shape)
+        table.grad = prior.copy()
+        with ad.Tape() as tape:
+            tape.backward(loss(table))
+        np.testing.assert_allclose(table.grad, prior + analytic_grad(loss, x), rtol=1e-14)
+
+    def test_take_rows_backward_scatters_in_place(self):
+        """A lookup of a few rows of a table with a gradient makes no
+        table-sized temporary in its backward."""
+        rng = np.random.default_rng(12)
+        table = ad.Tensor(rng.normal(size=(4000, 32)), requires_grad=True)
+        table.zero_grad()
+        with ad.Tape() as tape:
+            out = ad.reduce_sum(ad.take_rows(table, [7, 3999, 7, 0, 12, 5]))
+            tracemalloc.start()
+            try:
+                tape.backward(out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < table.data.nbytes / 4
+        want = np.zeros_like(table.data)
+        want[[3999, 0, 12, 5]] = 1.0
+        want[7] = 2.0
+        np.testing.assert_array_equal(table.grad, want)
+
     def test_segment_mean_gradients(self):
         """Repeated columns, rows of length 1 and a column used by several
         segments."""
@@ -244,6 +283,28 @@ class TestGradientsMatchFiniteDifferences:
         out = ad.segment_mean(ad.Tensor(table), cols, starts, [0, 0, 0, 1, 2, 2])
         np.testing.assert_allclose(out.data, dense @ table, rtol=1e-14, atol=1e-15)
         assert ad.segment_mean(ad.Tensor(table), [], [], []).shape == (0, 2)
+
+    @pytest.mark.parametrize("lengths, n_cols", [
+        ([1] * 7, 6),  # rows of length 1
+        ([3, 2, 4], 1),  # one column, repeated in every row
+        ([3] * 50, 20),  # every row as long
+        ([2, 40, 1, 3], 12),  # one 40-token row among short ones
+        ("ragged", 300),  # 1,000 random rows of 1 to 12 tokens
+    ])
+    def test_segment_mean_forward_matches_reduceat(self, lengths, n_cols):
+        """The forward agrees with ``np.add.reduceat`` over the gathered
+        rows, divided by the row lengths, to rounding."""
+        rng = np.random.default_rng(13)
+        if lengths == "ragged":
+            lengths = rng.integers(1, 13, size=1000)
+        lengths = np.asarray(lengths)
+        table = rng.normal(size=(n_cols, 5))
+        cols = rng.integers(0, n_cols, size=lengths.sum())
+        starts = np.cumsum(lengths) - lengths
+        seg = np.repeat(np.arange(len(lengths)), lengths)
+        want = np.add.reduceat(table[cols], starts, axis=0) / lengths[:, None]
+        out = ad.segment_mean(ad.Tensor(table), cols, starts, seg)
+        np.testing.assert_allclose(out.data, want, rtol=1e-13, atol=1e-13)
 
     def test_concat_of_sum_gives_ones(self):
         """Gradient of sum(concat(a, b)) is all-ones into each input."""
@@ -353,6 +414,24 @@ class TestErrorSurfaces:
             ad.Tensor([1.0, np.nan])
         with pytest.raises(NonFiniteError):
             ad.Tensor([np.inf])
+
+    @pytest.mark.parametrize("bad", [
+        [[2.0, np.inf]],
+        [-np.inf, 3.0],
+        [np.inf, -np.inf],  # sums to NaN
+        np.nan,
+        -np.inf,
+    ])
+    def test_every_nonfinite_value_rejected(self, bad):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                ad.Tensor(bad)
+
+    @pytest.mark.parametrize("good", [[1e308, 1e308], [-1e308, -1e308], np.zeros(0), 2.5])
+    def test_finite_values_accepted_even_when_their_sum_overflows(self, good):
+        with np.errstate(over="ignore"):
+            t = ad.Tensor(good)
+        np.testing.assert_array_equal(t.data, good)
 
     def test_matmul_shape_error_names_both_shapes(self):
         """The dimension error message carries both operand shapes."""
