@@ -93,36 +93,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # Operator sugar; every overload delegates to the module-level ops so
-    # recording happens in exactly one place.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 _TAPE_STACK: list["Tape"] = []
 
@@ -167,9 +137,6 @@ class Tape:
         for out, rule in reversed(self._nodes):
             if out.grad is not None:
                 rule(out.grad)
-
-    def clear(self) -> None:
-        self._nodes.clear()
 
 
 def _as_tensor(x) -> Tensor:

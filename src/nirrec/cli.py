@@ -293,7 +293,7 @@ def _evaluate_once(
             )
     cfg = replace(stored, seed=seed, eval_ks=_layered("eval_ks", ks, file_cfg, stored.eval_ks))
     if eval_mode == "sampled":
-        report = evaluate_sampled(params, data, cfg, repeats=repeats)
+        report = evaluate_sampled(params, data, cfg, repeats=repeats, strict_precision=strict)
     else:
         report = evaluate(params, data, cfg, strict_precision=strict)
     out.mkdir(parents=True, exist_ok=True)
@@ -383,10 +383,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run_dir = out / f"{args.param}_{value:g}"
         try:
             ckpt, _ = _train_once(Path(args.shards), cfg, run_dir)
-            _, report, _, _ = _evaluate_once(Path(args.shards), ckpt, run_dir, args.seed)
-            p20 = report.p.get(20)
-            if p20 is None:
-                p20 = report.p[max(report.p)]
+            _, report, _, _ = _evaluate_once(
+                Path(args.shards), ckpt, run_dir, args.seed, ks=tuple(sorted({*cfg.eval_ks, 20}))
+            )
+            p20 = report.p[20]
             rows.append({"value": value, "p_at_20": p20, "status": "ok"})
             log.info("%s=%g -> P@20 %.4f", args.param, value, p20)
         except NirRecError as e:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -105,8 +105,7 @@ class MetricsReport:
     p_std: dict[int, float] | None = None
     mrr_std: dict[int, float] | None = None
     precision_convention: str = "hit_rate"
-    # Why each skipped session was skipped (see SKIP_REASONS); None for a
-    # report written before the reasons were recorded.
+    # Why each skipped session was skipped (see SKIP_REASONS).
     skipped_reasons: dict[str, int] | None = None
 
     def to_dict(self) -> dict:
@@ -126,23 +125,6 @@ class MetricsReport:
         if self.skipped_reasons is not None:
             out["skipped_reasons"] = dict(self.skipped_reasons)
         return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MetricsReport":
-        return cls(
-            p={int(k): v for k, v in raw["p"].items()},
-            mrr={int(k): v for k, v in raw["mrr"].items()},
-            sessions=raw["sessions"],
-            skipped=raw["skipped"],
-            seed=raw["seed"],
-            config=raw["config"],
-            p_std=None if "p_std" not in raw else {int(k): v for k, v in raw["p_std"].items()},
-            mrr_std=None
-            if "mrr_std" not in raw
-            else {int(k): v for k, v in raw["mrr_std"].items()},
-            precision_convention=raw.get("precision_convention", "hit_rate"),
-            skipped_reasons=raw.get("skipped_reasons"),
-        )
 
 
 class CatalogIndex:
@@ -264,6 +246,7 @@ def evaluate_sampled(
     data: PreparedData,
     cfg: TrainConfig,
     repeats: int = 5,
+    strict_precision: bool = False,
 ) -> MetricsReport:
     """Sampled-attention evaluation: mean and population std over derived
     seeds, mirroring reported plus/minus ranges."""
@@ -271,25 +254,19 @@ def evaluate_sampled(
         raise DomainError(f"repeats must be at least 1, got {repeats}")
     runs = [
         evaluate(
-            params, data, cfg, beta_mode="sample", rng=Rng(cfg.seed, "eval-sample", r)
+            params, data, cfg, beta_mode="sample", rng=Rng(cfg.seed, "eval-sample", r),
+            strict_precision=strict_precision,
         )
         for r in range(repeats)
     ]
-    ks = list(cfg.eval_ks)
-    p_mat = {k: np.array([r.p[k] for r in runs]) for k in ks}
-    m_mat = {k: np.array([r.mrr[k] for r in runs]) for k in ks}
-    base = runs[0]
-    return MetricsReport(
-        p={k: float(p_mat[k].mean()) for k in ks},
-        mrr={k: float(m_mat[k].mean()) for k in ks},
-        sessions=base.sessions,
-        skipped=base.skipped,
-        seed=cfg.seed,
-        config=cfg.to_dict(),
-        results=base.results,
-        p_std={k: float(p_mat[k].std()) for k in ks},
-        mrr_std={k: float(m_mat[k].std()) for k in ks},
-        skipped_reasons=base.skipped_reasons,
+    p = {k: np.array([r.p[k] for r in runs]) for k in cfg.eval_ks}
+    mrr = {k: np.array([r.mrr[k] for r in runs]) for k in cfg.eval_ks}
+    return replace(
+        runs[0],
+        p={k: float(v.mean()) for k, v in p.items()},
+        mrr={k: float(v.mean()) for k, v in mrr.items()},
+        p_std={k: float(v.std()) for k, v in p.items()},
+        mrr_std={k: float(v.std()) for k, v in mrr.items()},
     )
 
 
@@ -301,10 +278,6 @@ def write_metrics_json(path: str | Path, report: MetricsReport) -> None:
     Path(path).write_text(
         json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-
-
-def read_metrics_json(path: str | Path) -> MetricsReport:
-    return MetricsReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def write_rankings_csv(

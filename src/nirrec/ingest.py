@@ -368,13 +368,6 @@ class AttributeSpec:
     mode: str
     no_attr_items: list[int] = field(default_factory=list)
 
-    @property
-    def coverage(self) -> float:
-        n_items = self.matrix.shape[0] - 1  # excluding the UNKNOWN item row
-        if n_items <= 0:
-            return 1.0
-        return 1.0 - len(self.no_attr_items) / n_items
-
 
 def encode_attributes(
     records: Sequence[CatalogRecord],

@@ -115,6 +115,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
+        unknown = sorted(set(raw) - {config_key(f.name) for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown config keys {unknown}")
         return cls(**{f.name: raw[config_key(f.name)] for f in fields(cls)})
 
 
@@ -540,8 +543,3 @@ def train(
         if progress is not None:
             progress(entry)
     return TrainResult(params=params, epoch_log=epoch_log)
-
-
-def ablate(data: PreparedData, cfg: TrainConfig, which: str) -> TrainResult:
-    """Train with one component switched off; pipeline otherwise identical."""
-    return train(data, apply_ablation(cfg, which))

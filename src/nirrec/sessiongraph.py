@@ -19,7 +19,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError
+from .errors import IngestionError
 
 ItemId = Hashable
 
@@ -127,45 +127,3 @@ def build_graph(
         _node_index=index,
     )
 
-
-@dataclass
-class GraphBatch:
-    """Graphs padded to a common node count with a validity mask.
-
-    Padded rows and columns are all-zero, so any sum over nodes that
-    respects ``mask`` (or simply multiplies by zero rows) is unchanged.
-    """
-
-    graphs: tuple[SessionGraph, ...]
-    adj_out: np.ndarray  # (B, pad_to, pad_to)
-    adj_in: np.ndarray  # (B, pad_to, pad_to)
-    mask: np.ndarray  # (B, pad_to) bool
-    sizes: np.ndarray  # (B,) int
-    last_index: np.ndarray  # (B,) int
-
-
-def batch_graphs(graphs: Sequence[SessionGraph], pad_to: int) -> GraphBatch:
-    """Zero-pad a list of graphs to ``pad_to`` nodes each."""
-    for g in graphs:
-        if g.n > pad_to:
-            raise ConfigurationError(f"graph with {g.n} nodes exceeds pad_to={pad_to}")
-    b = len(graphs)
-    adj_out = np.zeros((b, pad_to, pad_to), dtype=np.float64)
-    adj_in = np.zeros((b, pad_to, pad_to), dtype=np.float64)
-    mask = np.zeros((b, pad_to), dtype=bool)
-    sizes = np.zeros(b, dtype=np.int64)
-    last = np.zeros(b, dtype=np.int64)
-    for i, g in enumerate(graphs):
-        adj_out[i, : g.n, : g.n] = g.adj_out
-        adj_in[i, : g.n, : g.n] = g.adj_in
-        mask[i, : g.n] = True
-        sizes[i] = g.n
-        last[i] = g.last_index
-    return GraphBatch(
-        graphs=tuple(graphs),
-        adj_out=adj_out,
-        adj_in=adj_in,
-        mask=mask,
-        sizes=sizes,
-        last_index=last,
-    )

@@ -366,6 +366,23 @@ class TestEvalCommand:
         metrics = json.loads((out / "metrics.json").read_text())
         assert "p_std" in metrics and "mrr_std" in metrics
 
+    def test_sampled_mode_honours_strict_precision(self, shards, checkpoint, tmp_path):
+        """Strict P@k is the hit rate divided by k in sampled mode too."""
+        metrics = {}
+        for label, extra in (("hit_rate", []), ("strict", ["--strict-precision"])):
+            out = tmp_path / label
+            argv = ["eval", str(shards), str(checkpoint), "--eval-mode", "sampled",
+                    "--repeats", "2", "--k", "5,20", "--out", str(out), *extra]
+            assert main(argv) == 0
+            metrics[label] = json.loads((out / "metrics.json").read_text())
+            assert metrics[label]["precision_convention"] == label
+        hit, strict = metrics["hit_rate"], metrics["strict"]
+        assert hit["p"]["20"] > 0
+        for k in ("5", "20"):
+            assert strict["p"][k] == pytest.approx(hit["p"][k] / int(k), rel=1e-12)
+            assert strict["p_std"][k] == pytest.approx(hit["p_std"][k] / int(k), rel=1e-12)
+            assert strict["mrr"][k] == hit["mrr"][k]
+
 
 @pytest.fixture(scope="module")
 def model_run(tmp_path_factory, shards):
@@ -460,6 +477,23 @@ class TestCheckpointConfig:
             load_params(extra, load_shards(shards))
         assert main(["eval", str(shards), str(extra), "--out", str(tmp_path / "e")]) == 4
         assert "'enc.unknown_extra'" in capsys.readouterr().err
+
+    def test_unknown_config_key_returns_four_and_names_it(
+        self, shards, model_run, tmp_path, capsys
+    ):
+        raw = load_tensors(model_run)
+        config = json.loads(raw["meta.config"].astype(np.uint8).tobytes())
+        config["dropout"] = 0.5
+        blob = json.dumps(config, sort_keys=True).encode("utf-8")
+        raw["meta.config"] = np.frombuffer(blob, dtype=np.uint8).astype(np.float64)
+        extra = tmp_path / "extra.bin"
+        save_tensors(extra, raw)
+        with pytest.raises(ConfigurationError, match="'dropout'"):
+            TrainConfig.from_dict(config)
+        with pytest.raises(EvaluationError, match="'dropout'"):
+            load_params(extra, load_shards(shards))
+        assert main(["eval", str(shards), str(extra), "--out", str(tmp_path / "e")]) == 4
+        assert "'dropout'" in capsys.readouterr().err
 
     def test_same_size_vocabulary_with_renamed_item_returns_four(
         self, corpus, shards, model_run, tmp_path, capsys
@@ -602,6 +636,23 @@ class TestSweep:
         with (out / "plotdata.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["0.1", "0.9"]
+
+    def test_p_at_20_column_is_p_at_20_under_other_ks(self, shards, tmp_path):
+        out = tmp_path / "s"
+        argv = ["sweep", str(shards), "--param", "lambda", "--values", "0.5", "--k", "1,5",
+                "--epochs", "1", "--d", "16", "--out", str(out)]
+        assert main(argv) == 0
+        with (out / "plotdata.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        run = out / "lambda_0.5"
+        assert set(json.loads((run / "metrics.json").read_text())["p"]) == {"1", "5", "20"}
+        again = tmp_path / "e"
+        argv = ["eval", str(shards), str(run / "checkpoint.bin"), "--k", "5,20",
+                "--out", str(again)]
+        assert main(argv) == 0
+        p = json.loads((again / "metrics.json").read_text())["p"]
+        assert p["5"] != p["20"]
+        assert rows[1] == ["0.5", f"{p['20']:.6f}", "ok"]
 
     def test_failed_value_keeps_partial_rows_and_propagates(self, shards, tmp_path,
                                                             monkeypatch):

@@ -22,7 +22,6 @@ from nirrec.evaluate import (
     mrr_at_k,
     precision_at_k,
     rank,
-    read_metrics_json,
     write_metrics_json,
     write_plotdata_csv,
     write_rankings_csv,
@@ -224,9 +223,6 @@ class TestEvaluatePipeline:
         assert report.skipped_reasons == {"no_candidates": 1, "gt_not_candidate": 1}
         raw = report.to_dict()
         assert raw["skipped_reasons"] == report.skipped_reasons
-        assert MetricsReport.from_dict(raw).skipped_reasons == report.skipped_reasons
-        del raw["skipped_reasons"]
-        assert MetricsReport.from_dict(raw).skipped_reasons is None
         sampled = evaluate_sampled(self.params, data, self.cfg, repeats=2)
         assert sampled.skipped_reasons == report.skipped_reasons
 
@@ -449,18 +445,6 @@ class TestArtifacts:
             seed=7,
             config={"d": 8, "lambda": 0.5},
         )
-
-    def test_metrics_json_round_trip(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        report = self.make_report()
-        write_metrics_json(path, report)
-        back = read_metrics_json(path)
-        assert back.p == report.p
-        assert back.mrr == report.mrr
-        assert back.sessions == report.sessions
-        assert back.skipped == report.skipped
-        assert back.seed == report.seed
-        assert back.config == report.config
 
     def test_metrics_json_schema_keys(self, tmp_path):
         import json

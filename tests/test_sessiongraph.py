@@ -4,10 +4,9 @@ the ground-truth masking protocol."""
 import numpy as np
 import pytest
 
-from nirrec.errors import ConfigurationError, IngestionError
+from nirrec.errors import IngestionError
 from nirrec.sessiongraph import (
     Session,
-    batch_graphs,
     build_graph,
     mask_ground_truth,
 )
@@ -156,31 +155,3 @@ class TestBuildGraph:
         assert g.nodes[g.last_index] == 3
         assert g.last_index == 0
 
-
-class TestBatchGraphs:
-    """Suffix zero-padding with a validity mask."""
-
-    def test_pad_to_own_size_is_identity(self):
-        """pad_to = n leaves adjacency and mask untouched."""
-        g = build_graph([1, 2, 3, 1])
-        batch = batch_graphs([g], pad_to=g.n)
-        np.testing.assert_array_equal(batch.adj_out[0], g.adj_out)
-        np.testing.assert_array_equal(batch.adj_in[0], g.adj_in)
-        assert batch.mask[0].all()
-        assert batch.last_index[0] == g.last_index
-
-    def test_mask_counts_true_nodes(self):
-        """Mask sums equal each graph's node count; padding stays zero."""
-        gs = [build_graph([1, 2]), build_graph([1, 2, 3, 4]), build_graph([9])]
-        batch = batch_graphs(gs, pad_to=5)
-        np.testing.assert_array_equal(batch.mask.sum(axis=1), [2, 4, 1])
-        np.testing.assert_array_equal(batch.sizes, [2, 4, 1])
-        for i, g in enumerate(gs):
-            assert not batch.adj_out[i, g.n :, :].any()
-            assert not batch.adj_out[i, :, g.n :].any()
-            assert not batch.mask[i, g.n :].any()
-
-    def test_oversized_graph_rejected(self):
-        """A graph larger than pad_to is a configuration error."""
-        with pytest.raises(ConfigurationError):
-            batch_graphs([build_graph([1, 2, 3])], pad_to=2)
