@@ -27,6 +27,9 @@ _LANCZOS_COEF = (
     1.5056327351493116e-7,
 )
 
+_LANCZOS_TAIL = np.array(_LANCZOS_COEF[1:])
+_LANCZOS_SHIFTS = np.arange(1.0, len(_LANCZOS_COEF))
+
 _HALF_LOG_TWO_PI = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -39,14 +42,22 @@ def _check_positive(x: np.ndarray, name: str) -> np.ndarray:
 
 
 def _series_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (series, series', t) for z = x with u = z - 1, t = u + g + 0.5."""
+    """Return (series, series', t) for z = x with u = z - 1, t = u + g + 0.5.
+
+    The terms c_i/(u+i) stand in the rows of one array, c_0 first, and are
+    added by a cumulative sum down its first axis: the same additions, in
+    the same order, as a loop over the coefficients, so the result is
+    bit-identical to it.  ``np.sum`` would not be: over a single element
+    it adds the nine terms pairwise."""
     u = x - 1.0
-    series = np.full_like(u, _LANCZOS_COEF[0])
-    dseries = np.zeros_like(u)
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        denom = u + i
-        series = series + c / denom
-        dseries = dseries - c / (denom * denom)
+    col = (-1,) + (1,) * u.ndim
+    denom = u + _LANCZOS_SHIFTS.reshape(col)
+    coef = _LANCZOS_TAIL.reshape(col)
+    terms = np.empty((len(_LANCZOS_COEF),) + u.shape)
+    terms[0] = _LANCZOS_COEF[0]
+    np.divide(coef, denom, out=terms[1:])
+    series = np.cumsum(terms, axis=0)[-1]
+    dseries = -np.cumsum(coef / (denom * denom), axis=0)[-1]
     t = u + _LANCZOS_G + 0.5
     return series, dseries, t
 

@@ -46,6 +46,8 @@ __all__ = [
     "softmax",
     "take_rows",
     "segment_mean",
+    "segment_std",
+    "masked_cross_entropy",
     "pick",
     "reduce_sum",
     "reduce_mean",
@@ -123,7 +125,9 @@ class Tape:
 
         ``seed`` overrides the initial gradient (defaults to ones, which for
         a scalar loss is the conventional 1.0).  Each recorded node is
-        visited exactly once, in reverse execution order.
+        visited exactly once, in reverse execution order, and its gradient
+        is dropped once its rule has passed it on, so a long tape holds
+        only the gradients still to be propagated.  Leaves keep theirs.
         """
         if seed is None:
             seed_arr = np.ones_like(loss.data)
@@ -137,6 +141,7 @@ class Tape:
         for out, rule in reversed(self._nodes):
             if out.grad is not None:
                 rule(out.grad)
+                out.grad = None
 
 
 def _as_tensor(x) -> Tensor:
@@ -609,6 +614,68 @@ def reduce_std(t) -> Tensor:
             _accumulate(t, g * (t.data - m) / (t.size * s))
 
     return _record(out, (t,), rule)
+
+
+def segment_std(t, starts) -> Tensor:
+    """Population standard deviation of each contiguous segment of a 1-d
+    tensor: segment r runs from ``starts[r]`` to ``starts[r + 1]``, the
+    last to the end.  The :func:`reduce_std` rule per segment, flat where
+    a segment is constant."""
+    t = _as_tensor(t)
+    starts = np.asarray(starts, dtype=np.int64)
+    if t.ndim != 1 or starts.ndim != 1 or not starts.size:
+        raise DimensionError(
+            f"segment_std: expected a 1-d tensor and 1-d starts, got {t.shape} and {starts.shape}"
+        )
+    lengths = np.diff(starts, append=t.size)
+    if starts[0] != 0 or lengths.min() < 1:
+        raise DomainError("segment_std: segments must start at 0 and be non-empty")
+    m = np.add.reduceat(t.data, starts) / lengths
+    dev = t.data - np.repeat(m, lengths)
+    s = np.sqrt(np.add.reduceat(dev * dev, starts) / lengths)
+    out = Tensor(s)
+
+    def rule(g: np.ndarray) -> None:
+        # d s_r / d x_j = (x_j - m_r) / (n_r s_r) for j in segment r.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(s > 0.0, g / (lengths * s), 0.0)
+        _accumulate(t, dev * np.repeat(scale, lengths))
+
+    return _record(out, (t,), rule)
+
+
+def masked_cross_entropy(logits, mask, targets) -> Tensor:
+    """Cross-entropy of each row of a 2-d tensor over its ``mask``ed
+    entries: ``logsumexp(logits[r, mask[r]]) - logits[r, targets[r]]``.
+
+    The max shift is held constant, so the gradient is exactly softmax
+    over the row's masked entries minus the one-hot target; unmasked
+    entries take none.  Every target must lie inside its row's mask."""
+    logits = _as_tensor(logits)
+    mask = np.asarray(mask, dtype=bool)
+    targets = np.asarray(targets, dtype=np.int64)
+    if logits.ndim != 2 or mask.shape != logits.shape or targets.shape != logits.shape[:1]:
+        raise DimensionError(
+            f"masked_cross_entropy: expected (B, R) logits and mask and B targets, got "
+            f"{logits.shape}, {mask.shape} and {targets.shape}"
+        )
+    rows = np.arange(len(targets))
+    if targets.size and (
+        targets.min() < 0 or targets.max() >= logits.shape[1] or not mask[rows, targets].all()
+    ):
+        raise DomainError("masked_cross_entropy: a target lies outside its row's mask")
+    shifted = np.where(mask, logits.data, -np.inf)
+    top = shifted.max(axis=1, keepdims=True)
+    ex = np.exp(shifted - top)
+    total = ex.sum(axis=1, keepdims=True)
+    out = Tensor(np.log(total[:, 0]) + top[:, 0] - logits.data[rows, targets])
+
+    def rule(g: np.ndarray) -> None:
+        grad = ex / total
+        grad[rows, targets] -= 1.0
+        _accumulate(logits, grad * g[:, None])
+
+    return _record(out, (logits,), rule)
 
 
 def reduce_max(t, axis: int | None = None) -> Tensor:

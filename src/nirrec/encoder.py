@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Rng, Tensor
 from .errors import DimensionError, UnknownItemError
-from .sessiongraph import SessionGraph
+from .sessiongraph import GraphUnion, SessionGraph
 
 
 @dataclass
@@ -168,12 +168,13 @@ def ggnn_forward(
 
 
 def embed_session(
-    graph: SessionGraph,
+    graph: SessionGraph | GraphUnion,
     enc: EncoderParams,
     tax_paths: np.ndarray,
     propagate_taxonomy: bool = False,
 ) -> tuple[Tensor, Tensor]:
-    """Per-node item embeddings v_i (graph-refined) and taxonomy t_i.
+    """Per-node item embeddings v_i (graph-refined) and taxonomy t_i, of
+    one session's graph or of the union of a chunk's.
 
     Graph nodes must be integer rows of the item table; ``tax_paths`` maps
     every item row to its (t1, t2, t3) taxonomy indices.

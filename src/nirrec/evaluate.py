@@ -21,12 +21,13 @@ import numpy as np
 
 from .autodiff import Rng, Tensor
 from .errors import DomainError, EvaluationError
-from .ingest import PreparedData
+from .ingest import EncodedSession, PreparedData
 from .model import (
     ModelParams,
     TrainConfig,
     candidate_ids,
-    forward,
+    chunk_slices,
+    forward_chunk,
     infer_candidate_embeddings,
     score_candidates,
 )
@@ -190,16 +191,18 @@ def evaluate(
     ``gt_not_candidate`` (an unknown ground-truth id, or one in the
     history).
 
-    θ does not depend on the session: each session scores the catalog
-    table of :func:`catalog_table` and keeps its candidates' logits.  The
-    table is mapped once per parameter state, so repeated calls on
-    unchanged parameters and data (a one-session recommend request, the
-    repeats of :func:`evaluate_sampled`) map θ once between them.
+    θ does not depend on the session: the test sessions run in chunks
+    through :func:`nirrec.model.forward_chunk`, with no tape, and each
+    session ranks its candidates' logits in its row of the chunk's
+    intents times the catalog table of :func:`catalog_table`.  The table
+    is mapped once per parameter state, so repeated calls on unchanged
+    parameters and data (a one-session recommend request, the repeats of
+    :func:`evaluate_sampled`) map θ once between them.
     """
     if not data.test:
         raise EvaluationError("test split is empty")
     emb = catalog_table(params, data)
-    results: list[RankedResult] = []
+    kept: list[tuple[EncodedSession, np.ndarray]] = []
     reasons = dict.fromkeys(SKIP_REASONS, 0)
     for sess in data.test:
         cand = candidate_ids(data.n_items, sess.history)
@@ -210,20 +213,24 @@ def evaluate(
         if pos >= len(cand) or cand[pos] != sess.gt:
             reasons["gt_not_candidate"] += 1
             continue
-        srng = rng.derive(sess.session_id) if rng is not None else None
-        fwd = forward(
-            sess.history,
+        kept.append((sess, cand))
+    results: list[RankedResult] = []
+    for part in chunk_slices([sess.history for sess, _ in kept]):
+        chunk = kept[part]
+        fwd = forward_chunk(
+            [sess.history for sess, _ in chunk],
             params,
             data,
             cfg.lambda_,
-            rng=srng,
+            rngs=None if rng is None else [rng.derive(sess.session_id) for sess, _ in chunk],
             beta_mode=beta_mode,
             propagate_taxonomy=cfg.propagate_taxonomy,
-            session_id=sess.session_id,
+            session_ids=[sess.session_id for sess, _ in chunk],
         )
         # Rank the logits: softmax rounding can tie candidates they order.
-        logits = score_candidates(fwd.i, params.w_proj, emb).data[cand - 1]
-        results.append(_rank_ids(sess.session_id, cand, logits, sess.gt))
+        logits = score_candidates(fwd.i, params.w_proj, emb).data
+        for (sess, cand), row in zip(chunk, logits):
+            results.append(_rank_ids(sess.session_id, cand, row[cand - 1], sess.gt))
     skipped = sum(reasons.values())
     if not results:
         raise EvaluationError(f"all {skipped} test sessions were skipped")

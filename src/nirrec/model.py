@@ -15,6 +15,10 @@ and trains on the joint objective
 where the second term ties each session node's graph embedding to the
 embedding inferred from its attributes, which is what lets never-seen
 items be scored through the same theta map at recommendation time.
+
+Sessions run in chunks: the disjoint union of a chunk's session graphs
+goes through the pipeline as one graph, with one intent row, one logit
+row and one loss term per session.  A single session is a chunk of one.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .errors import (
 )
 from .ingest import PreparedData
 from .intent import IntentParams, IntentResult, compute_intent, init_intent
-from .sessiongraph import SessionGraph, build_graph
+from .sessiongraph import GraphUnion, build_graph, union_graphs
 from .zeroshot import ThetaParams, init_theta, l_zero, theta_forward
 
 ABLATIONS = ("no_alpha", "no_beta", "no_lzero")
@@ -273,17 +278,68 @@ def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, Trai
 # ---------------------------------------------------------------------------
 # forward pass and scoring
 
+# Graph nodes per chunk: training and evaluation run the sessions of a
+# batch in chunks of at most this many nodes together, each as one graph
+# (a session with more nodes is a chunk of its own).  A chunk's tape
+# holds about a hundred ops whatever its size, so a chunk costs about what
+# one session did; its activations grow with its nodes, about 40 kB per
+# node at d = 64.  128 trains about 10% faster than 96, but raised the
+# peak RSS of perfbench's long-sessions workload by 5%, against 2% at 96.
+CHUNK_NODES = 96
+
+
+def chunk_slices(histories: Sequence[Sequence[int]]) -> Iterator[slice]:
+    """Consecutive runs of sessions whose graphs hold at most
+    :data:`CHUNK_NODES` nodes together, in order."""
+    lo = nodes = 0
+    for i, history in enumerate(histories):
+        size = len(set(history))
+        if i > lo and nodes + size > CHUNK_NODES:
+            yield slice(lo, i)
+            lo, nodes = i, 0
+        nodes += size
+    if lo < len(histories):
+        yield slice(lo, len(histories))
+
 
 @dataclass
 class ForwardResult:
-    graph: SessionGraph
+    graph: GraphUnion
     v: Tensor
     t: Tensor
     intent: IntentResult
+    # The fused intent: one row per session of a chunk, a vector for one
+    # session.
+    i: Tensor
 
-    @property
-    def i(self) -> Tensor:
-        return self.intent.i
+
+def forward_chunk(
+    histories: Sequence[list[int]],
+    params: ModelParams,
+    data: PreparedData,
+    lam: float,
+    rngs: Sequence[Rng] | None = None,
+    beta_mode: str = "sample",
+    propagate_taxonomy: bool = False,
+    session_ids: Sequence[str] | None = None,
+    draws: Sequence[np.ndarray] | None = None,
+) -> ForwardResult:
+    """Session graphs -> their union -> node embeddings -> one fused
+    intent row per session.
+
+    ``rngs`` holds each session's Beta stream ("sample" mode), ``draws``
+    each session's fixed per-node draws ("fixed" mode).
+    """
+    ids = session_ids if session_ids is not None else [""] * len(histories)
+    graph = union_graphs([build_graph(h, session_id=sid) for h, sid in zip(histories, ids)])
+    v, t = embed_session(
+        graph, params.encoder, data.tax_paths, propagate_taxonomy=propagate_taxonomy
+    )
+    intent = compute_intent(
+        v, t, graph.segments, params.intent, lam, rng=rngs, beta_mode=beta_mode,
+        draws=None if draws is None else np.concatenate(draws),
+    )
+    return ForwardResult(graph=graph, v=v, t=t, intent=intent, i=intent.i)
 
 
 def forward(
@@ -297,19 +353,17 @@ def forward(
     session_id: str = "",
     draws: np.ndarray | None = None,
 ) -> ForwardResult:
-    """Session graph -> node embeddings -> fused intent vector.
+    """:func:`forward_chunk` of one session, whose intent ``i`` is a vector.
 
     ``draws`` replays fixed per-node Beta draws (beta_mode="fixed"), which
     keeps the stochastic branch exactly reproducible for gradient checks.
     """
-    graph = build_graph(history, session_id=session_id)
-    v, t = embed_session(
-        graph, params.encoder, data.tax_paths, propagate_taxonomy=propagate_taxonomy
+    fwd = forward_chunk(
+        [history], params, data, lam, rngs=[rng], beta_mode=beta_mode,
+        propagate_taxonomy=propagate_taxonomy, session_ids=[session_id],
+        draws=None if draws is None else [draws],
     )
-    intent = compute_intent(
-        v, t, graph.last_index, params.intent, lam, rng=rng, beta_mode=beta_mode, draws=draws
-    )
-    return ForwardResult(graph=graph, v=v, t=t, intent=intent)
+    return replace(fwd, i=ad.reshape(fwd.i, (fwd.i.shape[1],)))
 
 
 def candidate_ids(n_items: int, history: list[int], gt: int | None = None) -> np.ndarray:
@@ -358,11 +412,16 @@ def infer_candidate_embeddings(
 
 
 def score_candidates(i_vec: Tensor, w_proj: Tensor, cand_emb: Tensor) -> Tensor:
-    """Logit per candidate: (I @ W_I) . c_i."""
+    """Logit per candidate: (I @ W_I) . c_i, for one intent vector, or a
+    (sessions, candidates) matrix for a chunk's intent rows."""
     if cand_emb.data.shape[0] == 0:
         raise DomainError("cannot score an empty candidate set")
-    u = ad.matmul(ad.reshape(i_vec, (1, i_vec.data.shape[0])), w_proj)
-    return ad.reshape(ad.matmul(cand_emb, ad.transpose(u)), (cand_emb.data.shape[0],))
+    single = i_vec.ndim == 1
+    u = ad.matmul(ad.reshape(i_vec, (1, i_vec.shape[0])) if single else i_vec, w_proj)
+    # candidates × sessions, then transposed: a copy the size of the
+    # logits, not of the candidate table.
+    scores = ad.matmul(cand_emb, ad.transpose(u))
+    return ad.reshape(scores, (cand_emb.shape[0],)) if single else ad.transpose(scores)
 
 
 @dataclass
@@ -374,63 +433,73 @@ class SessionLossParts:
 
 
 def session_loss(
-    sess_history: list[int],
-    sess_gt: int,
+    history: list[int] | Sequence[list[int]],
+    gt: int | Sequence[int],
     params: ModelParams,
     data: PreparedData,
     cfg: TrainConfig,
-    rng: Rng | None,
+    rng: Rng | Sequence[Rng] | None,
     beta_mode: str = "sample",
-    session_id: str = "",
-    draws: np.ndarray | None = None,
-    neg_rng: Rng | None = None,
-    cand: np.ndarray | None = None,
+    session_id: str | Sequence[str] = "",
+    draws: np.ndarray | Sequence[np.ndarray] | None = None,
+    neg_rng: Rng | Sequence[Rng | None] | None = None,
+    cand: np.ndarray | Sequence[np.ndarray] | None = None,
     table: tuple[np.ndarray, Tensor] | None = None,
 ) -> SessionLossParts:
-    """Joint loss for one session: weighted cross-entropy plus the
-    node-level embedding-agreement term (skipped entirely at gamma = 1).
+    """Joint loss of one session, or the summed loss of a chunk of them:
+    weighted cross-entropy plus the node-level embedding-agreement term
+    (skipped entirely at gamma = 1).  ``ce`` and ``lz`` are the chunk's
+    sums.
 
-    ``cand`` is the session's candidate ids (drawn here when omitted).
+    A session is a chunk of one.  For a chunk, ``history`` is a list of
+    histories, and ``gt``, ``rng``, ``session_id`` and, when given,
+    ``draws``, ``neg_rng`` and ``cand`` hold one entry per session.
+
+    ``cand`` is each session's candidate ids (drawn here when omitted).
     ``table`` is ``(rows, emb)``: θ embeddings ``emb`` of the sorted item
-    ids ``rows``, a superset of ``cand`` that a batch shares.  Without it
-    the table is θ over ``cand`` alone, on the caller's tape.
+    ids ``rows``, a superset of every ``cand`` that a batch shares.
+    Without it the table is θ over the chunk's candidates, on the caller's
+    tape.
     """
-    fwd = forward(
-        sess_history,
-        params,
-        data,
-        cfg.lambda_,
-        rng=rng,
-        beta_mode=beta_mode,
-        propagate_taxonomy=cfg.propagate_taxonomy,
-        session_id=session_id,
-        draws=draws,
+    if isinstance(gt, (int, np.integer)):
+        history, gt, rng, session_id = [history], [gt], [rng], [session_id]
+        draws = None if draws is None else [draws]
+        neg_rng = [neg_rng]
+        cand = None if cand is None else [cand]
+    fwd = forward_chunk(
+        history, params, data, cfg.lambda_, rngs=rng, beta_mode=beta_mode,
+        propagate_taxonomy=cfg.propagate_taxonomy, session_ids=session_id, draws=draws,
     )
     if cand is None:
-        cand = session_candidates(sess_history, sess_gt, data.n_items, cfg, neg_rng or rng)
+        negs = neg_rng or [None] * len(gt)
+        cand = [
+            session_candidates(h, g, data.n_items, cfg, nr or r)
+            for h, g, nr, r in zip(history, gt, negs, rng or [None] * len(gt))
+        ]
     if table is None:
-        table = (cand, infer_candidate_embeddings(params, data, cand))
+        rows = reduce(np.union1d, cand)
+        table = (rows, infer_candidate_embeddings(params, data, rows))
     rows, emb = table
-    # Score every table row, then gather the candidates' logits: cheaper
-    # than gathering, and scattering back, their embedding rows.
-    scores = score_candidates(fwd.i, params.w_proj, emb)
-    logits = ad.take_rows(scores, np.searchsorted(rows, cand))
-    pos = int(np.searchsorted(cand, sess_gt))
-    # logsumexp(logits) - logit_gt; the shift is held constant, so the
-    # gradient is exactly softmax - onehot.
-    top = Tensor(logits.data.max())
-    lse = ad.add(ad.log(ad.reduce_sum(ad.exp(ad.sub(logits, top)))), top)
-    ce = ad.sub(lse, ad.pick(logits, pos))
+    # Score every table row, then mask each session's row down to its
+    # candidates: cheaper than gathering, and scattering back, their
+    # embedding rows.
+    logits = score_candidates(fwd.i, params.w_proj, emb)
+    mask = np.zeros(logits.shape, dtype=bool)
+    for r, c in enumerate(cand):
+        mask[r, np.searchsorted(rows, c)] = True
+    ce = ad.reduce_sum(ad.masked_cross_entropy(logits, mask, np.searchsorted(rows, gt)))
+    clamped = fwd.intent.clamped
 
     if cfg.gamma >= 1.0:
-        return SessionLossParts(ce, float(ce.data), 0.0, fwd.intent.clamped)
+        return SessionLossParts(ce, float(ce.data), 0.0, clamped)
 
-    atr = ad.segment_mean(params.attr_table, *data.attr_matrix.gather(fwd.graph.nodes))
+    nodes = np.asarray(fwd.graph.nodes, dtype=np.int64)
+    atr = ad.segment_mean(params.attr_table, *data.attr_matrix.gather(nodes))
     lz = l_zero(fwd.v, atr, params.theta)
     loss = ad.add(
         ad.mul(Tensor(cfg.gamma), ce), ad.mul(Tensor(1.0 - cfg.gamma), lz)
     )
-    return SessionLossParts(loss, float(ce.data), float(lz.data), fwd.intent.clamped)
+    return SessionLossParts(loss, float(ce.data), float(lz.data), clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +521,20 @@ def train(
     """Seeded mini-batch training over the prepared train split.
 
     θ does not depend on the session, so each batch maps it once over the
-    sorted union of its sessions' candidate ids, on a tape of its own.
-    Each session scores a leaf copy of that table on its own tape, keeps
-    its candidates' logits and backpropagates with seed 1/batch_len into
-    the copy; one backward through θ then carries the summed table
-    gradient, and one Adam step is taken per batch.  The gradient is the
-    mean of the per-session gradients.  A non-finite value aborts naming
-    the session, or the batch's sessions for the shared θ pass.
+    sorted union of its sessions' candidate ids, on a tape of its own,
+    into a leaf copy of the table.  The batch's sessions then run in
+    chunks of at most :data:`CHUNK_NODES` graph nodes: each chunk runs
+    one forward and one backward pass on one tape, over the disjoint
+    union of its session graphs, scores the table, and backpropagates
+    its summed loss with seed 1/batch_len.  One backward through θ then
+    carries the summed table gradient, and one Adam step is taken per
+    batch.  The gradient is the mean of the per-session gradients, and
+    each session draws its Beta points from its own stream, so the
+    chunking does not change what is computed.
+
+    A non-finite value aborts naming the session: the failed chunk's
+    sessions are run again one at a time to find it.  A fault in the
+    shared θ pass names the batch's sessions.
     """
     if not data.train:
         raise TrainingError("training split is empty")
@@ -502,26 +578,42 @@ def train(
                 ) from e
             table = Tensor(emb.data, requires_grad=True)
             theta_rows += len(rows)
-            for sess, cand in zip(batch, cands):
-                srng = beta_root.derive(epoch, sess.session_id)
+            seed = np.float64(1.0 / len(batch))
+
+            def step(part: slice) -> SessionLossParts:
+                """Forward and backward of the batch's sessions ``part``."""
+                with ad.Tape() as tape:
+                    parts = session_loss(
+                        [sess.history for sess in batch[part]],
+                        [sess.gt for sess in batch[part]],
+                        params,
+                        data,
+                        cfg,
+                        rng=[beta_root.derive(epoch, sess.session_id) for sess in batch[part]],
+                        beta_mode="sample",
+                        session_id=[sess.session_id for sess in batch[part]],
+                        cand=cands[part],
+                        table=(rows, table),
+                    )
+                    tape.backward(parts.loss, seed=seed)
+                return parts
+
+            for part in chunk_slices([sess.history for sess in batch]):
                 try:
-                    with ad.Tape() as tape:
-                        parts = session_loss(
-                            sess.history,
-                            sess.gt,
-                            params,
-                            data,
-                            cfg,
-                            rng=srng,
-                            beta_mode="sample",
-                            session_id=sess.session_id,
-                            cand=cand,
-                            table=(rows, table),
-                        )
-                        tape.backward(parts.loss, seed=np.float64(1.0 / len(batch)))
+                    parts = step(part)
                 except NonFiniteError as e:
+                    # Find the session: the cost falls on this path only.
+                    for k in range(part.start, part.stop):
+                        try:
+                            step(slice(k, k + 1))
+                        except NonFiniteError as alone:
+                            raise TrainingError(
+                                f"non-finite value in session '{batch[k].session_id}' "
+                                f"(epoch {epoch}): {alone}"
+                            ) from alone
+                    ids = ", ".join(f"'{sess.session_id}'" for sess in batch[part])
                     raise TrainingError(
-                        f"non-finite value in session '{sess.session_id}' "
+                        f"non-finite value in the chunk of sessions [{ids}] "
                         f"(epoch {epoch}): {e}"
                     ) from e
                 ce_sum += parts.ce

@@ -10,6 +10,11 @@ The ground-truth protocol treats the last event's item as the "new item"
 to be predicted: it is deleted from the history entirely (all occurrences)
 so that it is genuinely unseen within the session, and the remaining items
 are reconnected in their original order.
+
+A chunk of sessions is run as one graph, the disjoint union of theirs:
+their nodes stacked in session order under block-diagonal adjacency, so
+no message crosses from one session into another.  A single session is a
+chunk of one.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import IngestionError
+from .autodiff import Tensor
+from .errors import DimensionError, IngestionError
 
 ItemId = Hashable
 
@@ -127,3 +133,92 @@ def build_graph(
         _node_index=index,
     )
 
+
+
+class Segments:
+    """Which rows of a chunk's stacked node arrays belong to which session.
+
+    Session r owns the contiguous rows ``starts[r]`` up to the next start
+    (the last session up to ``n``), and its most recent history item sits
+    in row ``last_rows[r]``.  Four constant 0/1 tensors move values
+    between sessions and rows as matrix products, which backpropagate as
+    products too: ``member @ x`` sums each session's rows, ``spread @ y``
+    copies each session's row of ``y`` to all of its rows, ``to_last @ x``
+    gives every row its session's last row, and ``last_minus_mean @ x`` is
+    each session's last row minus its mean row.  Entries of other sessions
+    are exact zeros, so no session's value leaks into another's.
+    """
+
+    def __init__(self, starts: Sequence[int], last_rows: Sequence[int], n: int) -> None:
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.last_rows = np.asarray(last_rows, dtype=np.int64)
+        self.n = int(n)
+        if self.starts.ndim != 1 or not self.starts.size or self.starts[0] != 0:
+            raise DimensionError(f"segments must start at row 0, got starts {self.starts.tolist()}")
+        self.lengths = np.empty_like(self.starts)
+        self.lengths[:-1] = self.starts[1:] - self.starts[:-1]
+        self.lengths[-1] = self.n - self.starts[-1]
+        if self.lengths.min() < 1:
+            raise DimensionError(
+                f"segments must be non-empty, got starts {self.starts.tolist()} over {n} rows"
+            )
+        offset = self.last_rows - self.starts
+        bad = (offset < 0) | (offset >= self.lengths)
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise DimensionError(
+                f"last_index {int(offset[r])} out of range for {int(self.lengths[r])} nodes"
+            )
+        member = np.repeat(np.eye(len(self.starts)), self.lengths, axis=1)
+        spread = member.T.copy()
+        last = np.zeros_like(member)
+        last[np.arange(len(self.starts)), self.last_rows] = 1.0
+        self.member = Tensor(member)
+        self.spread = Tensor(spread)
+        self.to_last = Tensor(spread @ last)
+        self.last_minus_mean = Tensor(last - member / self.lengths[:, None])
+
+    @classmethod
+    def of_one(cls, n: int, last_index: int) -> "Segments":
+        """One session over all ``n`` rows, last item in row ``last_index``."""
+        return cls([0], [last_index], n)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+
+@dataclass
+class GraphUnion:
+    """The disjoint union of a chunk's session graphs.
+
+    ``nodes`` stacks each graph's nodes in session order, ``adj_out`` and
+    ``adj_in`` hold each graph's matrix as a diagonal block, and
+    ``segments`` says which rows are whose.
+    """
+
+    nodes: list[ItemId]
+    adj_out: np.ndarray
+    adj_in: np.ndarray
+    segments: Segments
+
+
+def union_graphs(graphs: Sequence[SessionGraph]) -> GraphUnion:
+    """Stack session graphs into one graph with block-diagonal adjacency.
+    A single graph keeps its own matrices."""
+    sizes = [g.n for g in graphs]
+    starts = np.cumsum([0] + sizes[:-1])
+    n = int(sum(sizes))
+    if len(graphs) == 1:
+        adj_out, adj_in = graphs[0].adj_out, graphs[0].adj_in
+    else:
+        adj_out = np.zeros((n, n))
+        adj_in = np.zeros((n, n))
+        for g, lo in zip(graphs, starts):
+            adj_out[lo : lo + g.n, lo : lo + g.n] = g.adj_out
+            adj_in[lo : lo + g.n, lo : lo + g.n] = g.adj_in
+    return GraphUnion(
+        nodes=[item for g in graphs for item in g.nodes],
+        adj_out=adj_out,
+        adj_in=adj_in,
+        segments=Segments(starts, starts + [g.last_index for g in graphs], n),
+    )

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import nirrec.autodiff as ad
-from nirrec.autodiff.special import digamma, log_gamma
+from nirrec.autodiff.special import _LANCZOS_COEF as LANCZOS_COEF
+from nirrec.autodiff.special import _series_terms, digamma, log_gamma
 from nirrec.errors import DomainError
 
 EULER_GAMMA = 0.5772156649015329
@@ -60,6 +61,34 @@ class TestLogGamma:
             log_gamma(np.array(0.0))
         with pytest.raises(DomainError):
             digamma(np.array(-1.0))
+
+
+def lanczos_loop(x):
+    """The series as a loop over the coefficients, one addition at a time:
+    the reference :func:`nirrec.autodiff.special._series_terms` must
+    reproduce bit for bit."""
+    u = x - 1.0
+    series = np.full_like(u, LANCZOS_COEF[0])
+    dseries = np.zeros_like(u)
+    for i, c in enumerate(LANCZOS_COEF[1:], start=1):
+        denom = u + i
+        series = series + c / denom
+        dseries = dseries - c / (denom * denom)
+    return series, dseries, u + 7.0 + 0.5
+
+
+class TestLanczosSeries:
+    """The vectorised series adds its terms in the loop's order."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (4,), (3, 2), (100_000,)])
+    def test_bit_identical_to_the_loop(self, shape):
+        x = np.asarray(np.random.default_rng(len(shape)).uniform(0.01, 50.0, size=shape))
+        series, dseries, t = _series_terms(x)
+        want_series, want_dseries, want_t = lanczos_loop(x)
+        assert series.shape == dseries.shape == x.shape
+        assert np.array_equal(series, want_series)
+        assert np.array_equal(dseries, want_dseries)
+        assert np.array_equal(t, want_t)
 
 
 class TestDigamma:

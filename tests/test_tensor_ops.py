@@ -332,6 +332,71 @@ class TestGradientsMatchFiniteDifferences:
         g = analytic_grad(ad.reduce_std, np.full(4, 1.5))
         np.testing.assert_array_equal(g, np.zeros(4))
 
+    def test_segment_std_gradients(self):
+        """Segments of lengths 3, 1 and 4; the one-element segment has std
+        0 and takes no gradient."""
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-2, 2, size=8)
+        w = rng.uniform(-1, 1, size=3)
+
+        def loss(t):
+            return ad.reduce_sum(ad.mul(ad.segment_std(t, [0, 3, 4]), ad.Tensor(w)))
+
+        check_unary(loss, x, rtol=1e-6)
+        assert analytic_grad(loss, x)[3] == 0.0
+
+    def test_segment_std_is_reduce_std_per_segment(self):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-2, 2, size=9)
+        got = ad.segment_std(ad.Tensor(x), [0, 2, 7]).data
+        for r, (lo, hi) in enumerate([(0, 2), (2, 7), (7, 9)]):
+            np.testing.assert_allclose(got[r], ad.reduce_std(ad.Tensor(x[lo:hi])).item(), rtol=1e-14)
+
+    def test_segment_std_flat_at_a_constant_segment(self):
+        """A constant segment of several elements: std 0, zero gradient,
+        while the other segment's gradient flows."""
+        t = ad.Tensor([2.0, 2.0, 2.0, 1.0, 3.0], requires_grad=True)
+        with ad.Tape() as tape:
+            s = ad.segment_std(t, [0, 3])
+            tape.backward(ad.reduce_sum(s))
+        np.testing.assert_array_equal(s.data, [0.0, 1.0])
+        np.testing.assert_array_equal(t.grad, [0.0, 0.0, 0.0, -0.5, 0.5])
+
+    def test_masked_cross_entropy_gradients(self):
+        """Each row's gradient is softmax over its masked entries minus the
+        one-hot target; unmasked entries take none."""
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-3, 3, size=(3, 5))
+        mask = np.array([
+            [1, 1, 1, 1, 1], [0, 1, 0, 1, 1], [1, 0, 0, 0, 0],
+        ], dtype=bool)
+        targets = [2, 4, 0]
+        w = rng.uniform(0.5, 1.5, size=3)
+
+        def loss(t):
+            ce = ad.masked_cross_entropy(t, mask, targets)
+            return ad.reduce_sum(ad.mul(ce, ad.Tensor(w)))
+
+        check_unary(loss, x, rtol=1e-6)
+        got = analytic_grad(loss, x)
+        assert not np.any(got[~mask])
+        p = np.exp(x[1, mask[1]] - x[1, mask[1]].max())
+        want = w[1] * (p / p.sum() - np.array([0.0, 0.0, 1.0]))
+        np.testing.assert_allclose(got[1, mask[1]], want, rtol=1e-12)
+        np.testing.assert_array_equal(got[2], 0.0)  # a lone candidate is certain
+
+    def test_masked_cross_entropy_values_at_extreme_logits(self):
+        """logsumexp over the masked entries minus the target logit, exact
+        where the target's softmax probability underflows to 0."""
+        x = np.array([[0.0, -2000.0, 5000.0, 1.0], [3.0, 1.0, -1e4, 2.0]])
+        mask = np.array([[1, 1, 0, 1], [1, 1, 1, 1]], dtype=bool)
+        got = ad.masked_cross_entropy(ad.Tensor(x), mask, [1, 2]).data
+        want = [
+            np.logaddexp.reduce(x[0, mask[0]]) - x[0, 1],
+            np.logaddexp.reduce(x[1]) - x[1, 2],
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
     def test_softmax_jacobian_vector_product(self):
         """JVP of softmax against finite differences, rel. error < 1e-5,
         for a vector and row-wise for a matrix."""
@@ -405,6 +470,41 @@ class TestTapeSemantics:
         np.testing.assert_allclose(x.grad, want, rtol=1e-12)
 
 
+    def test_backward_frees_intermediate_gradients(self):
+        """Once its rule has run, an op output drops its gradient; the
+        leaves keep theirs."""
+        x = ad.Tensor(np.array([0.3, -0.2]), requires_grad=True)
+        with ad.Tape() as tape:
+            y = ad.tanh(x)
+            z = ad.mul(y, y)
+            loss = ad.reduce_sum(z)
+            tape.backward(loss)
+        assert y.grad is None and z.grad is None and loss.grad is None
+        th = np.tanh([0.3, -0.2])
+        np.testing.assert_allclose(x.grad, 2.0 * th * (1.0 - th * th), rtol=1e-12)
+
+    @pytest.mark.parametrize("length", [8, 32])
+    def test_backward_peak_memory_is_a_few_op_sizes(self, length):
+        """Backward through a chain of 1 MiB ops holds the gradients still
+        to be propagated, not one per op: its traced peak stays within a
+        few op sizes whatever the chain's length."""
+        size = 2**17  # float64 elements, 1 MiB
+        x = ad.Tensor(np.linspace(-1.0, 1.0, size), requires_grad=True)
+        with ad.Tape() as tape:
+            y = x
+            for _ in range(length):
+                y = ad.tanh(y)
+            loss = ad.reduce_sum(y)
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 5 * 8 * size
+        assert x.grad is not None and np.all(x.grad > 0.0)
+
+
 class TestErrorSurfaces:
     """Domain and shape violations fail loudly with the right types."""
 
@@ -467,6 +567,23 @@ class TestErrorSurfaces:
             ad.take_rows(ad.Tensor(np.ones((2, 2))), [0, 3])
         with pytest.raises(DimensionError):
             ad.concat([ad.Tensor(np.ones((2, 2))), ad.Tensor(np.ones((3, 2)))])
+
+    def test_segment_std_and_masked_cross_entropy_errors(self):
+        with pytest.raises(DimensionError):
+            ad.segment_std(ad.Tensor(np.ones((2, 2))), [0])
+        for starts in ([1], [0, 0], [0, 3]):
+            with pytest.raises(DomainError, match="non-empty"):
+                ad.segment_std(ad.Tensor(np.ones(3)), starts)
+        logits = ad.Tensor(np.zeros((2, 3)))
+        mask = np.array([[1, 1, 0], [0, 1, 1]], dtype=bool)
+        with pytest.raises(DomainError, match="outside its row's mask"):
+            ad.masked_cross_entropy(logits, mask, [2, 1])
+        with pytest.raises(DomainError, match="outside its row's mask"):
+            ad.masked_cross_entropy(logits, mask, [0, 3])
+        with pytest.raises(DimensionError):
+            ad.masked_cross_entropy(logits, mask[:1], [0])
+        with pytest.raises(DimensionError):
+            ad.masked_cross_entropy(logits, mask, [0])
 
     def test_segment_mean_errors(self):
         """Columns must index the table; segments must start at 0, be
