@@ -6,8 +6,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from .tensor import Tensor
+from ..errors import ConfigurationError, NonFiniteError
+from .tensor import Tensor, all_finite
 
 
 class Adam:
@@ -40,10 +40,16 @@ class Adam:
         self._t = 0
 
     def step(self, params: Mapping[str, Tensor]) -> None:
-        """Apply one update in sorted-name order (order-stable determinism)."""
+        """Apply one update in sorted-name order (order-stable determinism).
+
+        Every gradient is checked first: a missing one raises
+        ConfigurationError and a non-finite one NonFiniteError, before any
+        parameter or moment changes."""
         for name in sorted(params):
             if params[name].grad is None:
                 raise ConfigurationError(f"parameter '{name}' has no gradient")
+            if not all_finite(params[name].grad):
+                raise NonFiniteError(f"parameter '{name}' has a non-finite gradient")
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t

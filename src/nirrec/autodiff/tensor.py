@@ -39,6 +39,8 @@ __all__ = [
     "softplus",
     "clamp_min",
     "log_gamma",
+    "log_beta_density",
+    "gated_graph_step",
     "matmul",
     "transpose",
     "reshape",
@@ -56,6 +58,13 @@ __all__ = [
 ]
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every element of a float array is finite.  A finite sum
+    means every element is; a sum that overflows (NumPy warns) falls back
+    to the elementwise check."""
+    return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
+
+
 class Tensor:
     """A dense float64 array plus an optional gradient buffer."""
 
@@ -63,9 +72,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         arr = np.asarray(data, dtype=np.float64, order="C")
-        # A finite sum means every element is finite; a sum that overflows
-        # (NumPy warns) falls back to the elementwise check.
-        if not (math.isfinite(arr.sum()) or np.isfinite(arr).all()):
+        if not all_finite(arr):
             raise NonFiniteError("tensor contains NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -355,6 +362,105 @@ def log_gamma(t) -> Tensor:
         _accumulate(t, g * _digamma_arr(t.data))
 
     return _record(out, (t,), rule)
+
+
+def log_beta_density(a, c, x) -> Tensor:
+    """ln Beta(x; a, c) elementwise: ln Γ(a+c) − (ln Γ(a) + ln Γ(c)) +
+    ((a−1) ln x + (c−1) ln(1−x)), for 1-d shapes ``a``, ``c`` > 0 and
+    constant points ``x``.  A point outside (0, 1) makes the value
+    non-finite, which raises NonFiniteError as the chain did.
+
+    One op for the chain of :func:`log_gamma`, :func:`add`, :func:`mul`
+    and :func:`sub` that spells the formula, with the same additions in
+    the same order, so its values are bit-identical to that chain's.  The
+    three log-gammas are one Lanczos call on the stacked ``[a+c, a, c]``,
+    and backward is one digamma call on the same stack:
+    ∂/∂a = ψ(a+c) − ψ(a) + ln x, ∂/∂c = ψ(a+c) − ψ(c) + ln(1−x).
+    """
+    a, c = _as_tensor(a), _as_tensor(c)
+    x = np.asarray(x, dtype=np.float64)
+    if a.ndim != 1 or c.shape != a.shape or x.shape != a.shape:
+        raise DimensionError(
+            f"log_beta_density: expected equal 1-d shapes, got {a.shape}, {c.shape} and {x.shape}"
+        )
+    stack = np.stack([a.data + c.data, a.data, c.data])
+    lg = _log_gamma_arr(stack)
+    log_x, log_1mx = np.log(x), np.log1p(-x)
+    out = Tensor((lg[0] - (lg[1] + lg[2])) + ((a.data - 1.0) * log_x + (c.data - 1.0) * log_1mx))
+
+    def rule(g: np.ndarray) -> None:
+        psi = _digamma_arr(stack)
+        _accumulate(a, g * (psi[0] - psi[1] + log_x))
+        _accumulate(c, g * (psi[0] - psi[2] + log_1mx))
+
+    return _record(out, (a, c), rule)
+
+
+def gated_graph_step(adj_out, adj_in, v, h, b, wz, uz, wr, ur, wo, uo) -> Tensor:
+    """One GRU-style gated propagation step over a graph (GGNN):
+
+        a = [A_out·v ; A_in·v]·hᵀ + b
+        z = σ(a·wz + v·uz),  r = σ(a·wr + v·ur)
+        ṽ = tanh(a·wo + (r ⊙ v)·uo)
+        v' = (1 − z) ⊙ v + z ⊙ ṽ
+
+    for n node rows ``v`` (n × d), constant n × n adjacencies, ``h``
+    d × 2d, ``b`` of length d and the six gate maps d × d.
+
+    One op for the 23 that spell it: the forward makes the same NumPy
+    calls in the same order, so its values are bit-identical to theirs,
+    but the tape holds one entry and keeps only what the hand-derived
+    backward reads (the messages, a, z, r and ṽ).  Like every op, it
+    raises NonFiniteError on a non-finite value: the three gate
+    pre-activations are checked, since σ and tanh would saturate an
+    overflow upstream of them into a finite output.
+    """
+    v, h, b, wz, uz, wr, ur, wo, uo = map(_as_tensor, (v, h, b, wz, uz, wr, ur, wo, uo))
+    a_out = np.asarray(adj_out, dtype=np.float64)
+    a_in = np.asarray(adj_in, dtype=np.float64)
+    if v.ndim != 2:
+        raise DimensionError(f"gated_graph_step: expected (n, d) node rows, got {v.shape}")
+    n, d = v.shape
+    if a_out.shape != (n, n) or a_in.shape != (n, n):
+        raise DimensionError(
+            f"gated_graph_step: adjacency {a_out.shape}/{a_in.shape} does not match {n} nodes"
+        )
+    if h.shape != (d, 2 * d) or b.shape != (d,) or any(
+        w.shape != (d, d) for w in (wz, uz, wr, ur, wo, uo)
+    ):
+        raise DimensionError(f"gated_graph_step: weights do not fit {d}-wide node rows")
+    vd = v.data
+    msg = np.concatenate([a_out @ vd, a_in @ vd], axis=-1)
+    a = msg @ np.ascontiguousarray(h.data.T) + b.data
+    pre = [a @ wz.data + vd @ uz.data, a @ wr.data + vd @ ur.data]
+    z, r = (0.5 * (1.0 + np.tanh(0.5 * p)) for p in pre)
+    pre.append(a @ wo.data + (r * vd) @ uo.data)
+    if not all(map(all_finite, pre)):
+        raise NonFiniteError("gated_graph_step: a gate pre-activation contains NaN or Inf")
+    cand = np.tanh(pre[2])
+    out = Tensor((1.0 - z) * vd + z * cand)
+
+    def rule(g: np.ndarray) -> None:
+        d_cand = g * z * (1.0 - cand * cand)
+        d_z = g * (cand - vd) * z * (1.0 - z)
+        d_rv = d_cand @ uo.data.T
+        d_r = d_rv * vd * r * (1.0 - r)
+        d_a = d_z @ wz.data.T + d_r @ wr.data.T + d_cand @ wo.data.T
+        for w, lhs, dp in (
+            (wz, a, d_z), (uz, vd, d_z), (wr, a, d_r), (ur, vd, d_r),
+            (wo, a, d_cand), (uo, r * vd, d_cand),
+        ):
+            _accumulate(w, lhs.T @ dp)
+        _accumulate(b, d_a.sum(axis=0))
+        _accumulate(h, d_a.T @ msg)
+        d_msg = d_a @ h.data
+        _accumulate(
+            v,
+            g * (1.0 - z) + d_rv * r + d_z @ uz.data.T + d_r @ ur.data.T
+            + a_out.T @ d_msg[:, :d] + a_in.T @ d_msg[:, d:],
+        )
+
+    return _record(out, (v, h, b, wz, uz, wr, ur, wo, uo), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -148,22 +148,14 @@ def ggnn_forward(
     init: Tensor,
     params: GgnnParams,
 ) -> Tensor:
-    """Run ``params.steps`` rounds of gated propagation over one graph."""
-    n = init.shape[0]
-    if adj_out.shape != (n, n) or adj_in.shape != (n, n):
-        raise DimensionError(
-            f"adjacency {adj_out.shape}/{adj_in.shape} does not match {n} node embeddings"
-        )
-    a_out = Tensor(adj_out)
-    a_in = Tensor(adj_in)
+    """Run ``params.steps`` rounds of gated propagation over one graph, one
+    :func:`nirrec.autodiff.gated_graph_step` op each."""
+    p = params
     v = init
-    for _ in range(params.steps):
-        msg = ad.concat([ad.matmul(a_out, v), ad.matmul(a_in, v)])
-        a = ad.add(ad.matmul(msg, ad.transpose(params.h)), params.b)
-        z = ad.sigmoid(ad.add(ad.matmul(a, params.wz), ad.matmul(v, params.uz)))
-        r = ad.sigmoid(ad.add(ad.matmul(a, params.wr), ad.matmul(v, params.ur)))
-        cand = ad.tanh(ad.add(ad.matmul(a, params.wo), ad.matmul(ad.mul(r, v), params.uo)))
-        v = ad.add(ad.mul(ad.sub(1.0, z), v), ad.mul(z, cand))
+    for _ in range(p.steps):
+        v = ad.gated_graph_step(
+            adj_out, adj_in, v, p.h, p.b, p.wz, p.uz, p.wr, p.ur, p.wo, p.uo
+        )
     return v
 
 

@@ -62,13 +62,29 @@ def rank(scores: Mapping, gt) -> RankedResult:
         raise EvaluationError(f"ground truth {gt!r} is not among the scored candidates")
     cand = np.asarray(list(scores))
     values = np.asarray([float(v) for v in scores.values()])
+    if not np.isfinite(values).all():
+        raise EvaluationError("cannot rank a non-finite score")
     return _rank_ids("", cand, values, gt)
 
 
 def _rank_ids(session_id: str, cand: np.ndarray, scores: np.ndarray, gt: int) -> RankedResult:
-    """Candidates by descending score, ties broken by ascending id."""
-    order = np.lexsort((cand, -scores))
+    """Candidates by descending score, ties broken by ascending id: the
+    order of ``np.lexsort((cand, -scores))`` for finite scores.
+
+    NumPy's default (SIMD) quicksort orders the scores; it is not stable,
+    so each run of equal sorted scores is then put in ascending id order.
+    Such runs need exact logit ties, which are rare, and only their
+    positions are sorted again."""
+    neg = -scores
+    order = np.argsort(neg)
     ranking = cand[order]
+    keys = neg[order]
+    tied = keys[1:] == keys[:-1]
+    if tied.any():
+        # Every position of a run of ties, and the run each one is in.
+        at = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
+        run = np.cumsum(np.r_[True, ~tied])[at]
+        ranking[at] = ranking[at][np.lexsort((ranking[at], run))]
     pos = int(np.nonzero(ranking == gt)[0][0])
     return RankedResult(session_id=session_id, ranking=ranking, gt=gt, gt_rank=pos + 1)
 

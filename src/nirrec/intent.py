@@ -156,12 +156,7 @@ def beta_weights(
             raise DimensionError(f"draws shape {x.shape} != node count {a.data.shape}")
         if np.any(x <= 0.0) or np.any(x >= 1.0):
             raise DomainError("fixed draws must lie strictly inside (0, 1)")
-    log_delta = ad.sub(ad.log_gamma(ad.add(a, c)), ad.add(ad.log_gamma(a), ad.log_gamma(c)))
-    log_kernel = ad.add(
-        ad.mul(ad.sub(a, 1.0), Tensor(np.log(x))),
-        ad.mul(ad.sub(c, 1.0), Tensor(np.log1p(-x))),
-    )
-    pdf = ad.exp(ad.add(log_delta, log_kernel))
+    pdf = ad.exp(ad.log_beta_density(a, c, x))
     clamped = int(np.sum(pdf.data < PDF_FLOOR))
     b = ad.clamp_min(pdf, PDF_FLOOR)
     return b, x, a.data.copy(), c.data.copy(), clamped

@@ -281,10 +281,11 @@ def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, Trai
 # Graph nodes per chunk: training and evaluation run the sessions of a
 # batch in chunks of at most this many nodes together, each as one graph
 # (a session with more nodes is a chunk of its own).  A chunk's tape
-# holds about a hundred ops whatever its size, so a chunk costs about what
-# one session did; its activations grow with its nodes, about 40 kB per
-# node at d = 64.  128 trains about 10% faster than 96, but raised the
-# peak RSS of perfbench's long-sessions workload by 5%, against 2% at 96.
+# holds about seventy ops whatever its size, so a chunk costs about what
+# one session did; its activations grow with its nodes, about 28 kB per
+# node at d = 64.  128 trained about 10% faster than 96, but raised the
+# peak RSS of perfbench's long-sessions workload by 5%, against 2% at 96,
+# when a node held about 40 kB (before the fused GGNN step).
 CHUNK_NODES = 96
 
 
@@ -534,7 +535,8 @@ def train(
 
     A non-finite value aborts naming the session: the failed chunk's
     sessions are run again one at a time to find it.  A fault in the
-    shared θ pass names the batch's sessions.
+    shared θ pass, or a non-finite gradient (which Adam refuses before it
+    changes any parameter), names the batch's sessions.
     """
     if not data.train:
         raise TrainingError("training split is empty")
@@ -620,7 +622,14 @@ def train(
                 lz_sum += parts.lz
                 pdf_clamped += parts.pdf_clamped
             theta_tape.backward(emb, seed=table.grad)
-            opt.step(trainable)
+            try:
+                opt.step(trainable)
+            except NonFiniteError as e:
+                ids = ", ".join(f"'{sess.session_id}'" for sess in batch)
+                raise TrainingError(
+                    f"non-finite gradient from the batch of sessions [{ids}] "
+                    f"(epoch {epoch}): {e}"
+                ) from e
         seconds = time.perf_counter() - started
         entry = {
             "epoch": epoch,

@@ -5,7 +5,7 @@ import pytest
 
 import nirrec.autodiff as ad
 from nirrec.autodiff import Adam, zero_grads
-from nirrec.errors import ConfigurationError
+from nirrec.errors import ConfigurationError, NonFiniteError
 
 
 class TestAdam:
@@ -74,3 +74,28 @@ class TestAdam:
             Adam(lr=0.0)
         with pytest.raises(ConfigurationError):
             Adam(beta1=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_rejected_before_any_update(self, bad):
+        """Every gradient is checked before any parameter or moment moves,
+        also those of parameters stepped before the faulty one."""
+        a = ad.Tensor(np.ones(3), requires_grad=True)
+        b = ad.Tensor(np.ones(2), requires_grad=True)
+        a.grad = np.full(3, 0.5)
+        b.grad = np.array([1.0, bad])
+        opt = Adam(lr=0.1)
+        with pytest.raises(NonFiniteError, match="'b'"):
+            opt.step({"a": a, "b": b})
+        np.testing.assert_array_equal(a.data, np.ones(3))
+        np.testing.assert_array_equal(b.data, np.ones(2))
+        assert opt._t == 0 and not opt._m and not opt._v
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_finite_gradient_accepted(self):
+        """A gradient whose sum overflows is still finite element by element,
+        so the step is taken."""
+        w = ad.Tensor(np.ones(2), requires_grad=True)
+        w.grad = np.array([1e308, 1e308])
+        opt = Adam(lr=0.1)
+        opt.step({"w": w})
+        assert opt._t == 1 and np.isfinite(w.data).all()

@@ -180,6 +180,27 @@ class TestExitCodes:
         argv = ["train", str(shards), "--out", str(tmp_path / "t"), "--epochs", "1"]
         assert main(argv) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_returns_three_and_writes_no_checkpoint(
+        self, shards, tmp_path, monkeypatch, capsys
+    ):
+        """Huge item rows keep the forward finite but not the gradients:
+        Adam refuses them, so no parameter is written."""
+        import nirrec.model as model_mod
+
+        real = model_mod.init_params
+
+        def poisoned(data, cfg):
+            params = real(data, cfg)
+            params.encoder.item_table.data[5] = 1e300
+            return params
+
+        monkeypatch.setattr(model_mod, "init_params", poisoned)
+        out = tmp_path / "t"
+        assert main(["train", str(shards), "--out", str(out), "--epochs", "1", "--d", "8"]) == 3
+        assert "non-finite gradient" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
     def test_bad_config_key_returns_one(self, shards, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 3\n")

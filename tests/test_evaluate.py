@@ -17,6 +17,7 @@ from nirrec.errors import DomainError, EvaluationError
 from nirrec.evaluate import (
     MetricsReport,
     RankedResult,
+    _rank_ids,
     evaluate,
     evaluate_sampled,
     mrr_at_k,
@@ -26,7 +27,7 @@ from nirrec.evaluate import (
     write_plotdata_csv,
     write_rankings_csv,
 )
-from nirrec.ingest import EncodedSession, load_shards, prepare, save_shards
+from nirrec.ingest import AttributeMatrix, EncodedSession, load_shards, prepare, save_shards
 from nirrec.model import (
     candidate_ids,
     forward,
@@ -109,6 +110,74 @@ class TestRank:
             want = [i for i in sorted(ids, key=lambda i: (-scores[i], i))]
             res = rank(scores, gt=ids[0])
             np.testing.assert_array_equal(res.ranking, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        """NaN has no place in a total order (sorts place it by their own
+        rules), and evaluate only ever ranks finite logits."""
+        with pytest.raises(EvaluationError, match="non-finite"):
+            rank({1: 0.5, 2: bad, 3: 0.1}, gt=1)
+
+
+class TestRankIdsMatchLexsort:
+    """`_rank_ids` sorts by quicksort and repairs runs of tied scores; the
+    result must be `np.lexsort((cand, -scores))` element for element."""
+
+    @pytest.mark.parametrize("kind", ["distinct", "integer_ties", "signed_zeros", "repeated"])
+    def test_random_cases(self, kind):
+        rng = np.random.default_rng(["distinct", "integer_ties", "signed_zeros", "repeated"].index(kind))
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            # Unsorted ids, as rank() passes a mapping's keys.
+            cand = rng.permutation(np.arange(1, 3 * n + 1))[:n]
+            if kind == "distinct":
+                scores = rng.normal(size=n)
+            elif kind == "integer_ties":
+                scores = rng.integers(-3, 4, size=n).astype(float)
+            elif kind == "signed_zeros":
+                scores = rng.choice([0.0, -0.0, 2.5, -2.5, 1e-300], size=n)
+            else:
+                scores = rng.normal(size=n)
+                scores[rng.integers(0, n, size=n // 2)] = scores[rng.integers(0, n)]
+            gt = int(cand[rng.integers(0, n)])
+            res = _rank_ids("s", cand, scores, gt)
+            want = cand[np.lexsort((cand, -scores))]
+            np.testing.assert_array_equal(res.ranking, want)
+            assert res.gt_rank == int(np.flatnonzero(want == gt)[0]) + 1
+
+    def test_evaluate_with_duplicated_attribute_rows(self, monkeypatch):
+        """Items that share their attribute tokens get the same θ row, so
+        their logits tie exactly; evaluate must rank every session as the
+        lexsort reference does on the logits it ranked."""
+        import nirrec.evaluate as eval_mod
+
+        data = tiny_data(n_items=40)
+        # Items i, i + 5, i + 10, ... average the same two tokens.
+        cols = [0] + [c for i in range(1, 40) for c in (1 + i % 5, 1 + (i + 1) % 5)]
+        data = replace(
+            data,
+            attr_matrix=AttributeMatrix(np.r_[0, 1:80:2], cols, len(data.attr_tokens)),
+            test=[
+                EncodedSession(f"t{k}", [1 + k, 2 + 3 * k, 7 + k], 20 + k) for k in range(8)
+            ],
+        )
+        cfg = small_cfg(epochs=1)
+        params = train(data, cfg).params
+        ranked = []
+        real = eval_mod._rank_ids
+
+        def recording(session_id, cand, scores, gt):
+            ranked.append((cand.copy(), scores.copy()))
+            return real(session_id, cand, scores, gt)
+
+        monkeypatch.setattr(eval_mod, "_rank_ids", recording)
+        report = evaluate(params, data, cfg)
+        assert len(report.results) == len(ranked) == 8
+        ties = 0
+        for (cand, scores), res in zip(ranked, report.results):
+            np.testing.assert_array_equal(res.ranking, cand[np.lexsort((cand, -scores))])
+            ties += len(scores) - len(np.unique(scores))
+        assert ties >= 8 * 25
 
 
 class TestMetricDefinitions:

@@ -442,6 +442,25 @@ class TestTraining:
         for sess in data.train:
             assert f"'{sess.session_id}'" in str(info.value)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_aborts_before_any_update(self):
+        """Huge item rows of one of two sessions keep the forward finite (the
+        gates saturate) but overflow the gradients: Adam refuses them, so
+        training stops naming the epoch and the batch, and no parameter
+        changes."""
+        data = tiny_data(n_items=40)
+        data.train = [data.train[0], data.train[3]]
+        cfg = small_cfg(epochs=1, batch_size=2)
+        params = init_params(data, cfg)
+        params.encoder.item_table.data[[5, 6]] = 1e300
+        before = {name: t.data.copy() for name, t in params.named().items()}
+        with pytest.raises(TrainingError, match=r"non-finite gradient.*epoch 1") as info:
+            train(data, cfg, params=params)
+        for sess in data.train:
+            assert f"'{sess.session_id}'" in str(info.value)
+        for name, t in params.named().items():
+            np.testing.assert_array_equal(t.data, before[name], err_msg=name)
+
     def test_empty_train_split_rejected(self):
         data = tiny_data()
         data.train = []
@@ -630,6 +649,23 @@ class TestSparseAttributes:
             np.testing.assert_allclose(
                 params.attr_table.grad, ref.attr_table.grad, rtol=0, atol=1e-12
             )
+
+    def test_matmul_equals_segment_mean_bitwise(self):
+        """``AttributeMatrix @ table`` sums each row's tokens as the
+        ``segment_mean`` op's forward does, so the two are bit-identical;
+        ``np.add.reduceat``, which it replaced, agrees to rounding."""
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(1, 9, size=300)
+        lengths[:3] = [1, 8, 1]
+        indptr = np.r_[0, np.cumsum(lengths)]
+        cols = rng.integers(0, 40, size=indptr[-1])
+        table = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-8, 9, size=(40, 1))
+        matrix = AttributeMatrix(indptr, cols, 40)
+        got = matrix @ table
+        op = ad.segment_mean(table, *matrix.gather(np.arange(300)))
+        np.testing.assert_array_equal(got, op.data)
+        want = np.add.reduceat(table[cols], indptr[:-1], axis=0) / lengths[:, None]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 class TestCheckpointMetadata:
