@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -27,8 +28,8 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        if lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {lr}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ConfigurationError(f"lr must be finite and positive, got {lr}")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ConfigurationError("beta1 and beta2 must lie in [0, 1)")
         self.lr = lr

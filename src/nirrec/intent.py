@@ -19,10 +19,12 @@ The fused intent is the convex combination I = λ I_α + (1 − λ) I_β; at
 λ = 1 (or 0) the unused branch is skipped entirely, so its parameters and
 the sampler cannot influence the result even numerically.
 
-A chunk of sessions runs as one pass over their stacked node rows: every
-sum, mean, std and last-item anchor above is taken over each session's
-own rows (:class:`nirrec.sessiongraph.Segments`), and each session draws
-from its own stream.
+Every function here takes a chunk of sessions as their stacked node rows
+and the :class:`nirrec.sessiongraph.Segments` that say which rows are
+whose: every sum, mean, std and last-item anchor above is taken over each
+session's own rows, each session draws from its own stream, and every
+intent has one row per session.  A single session is a chunk of one
+(:func:`nirrec.model.forward` turns its row into a vector).
 """
 
 from __future__ import annotations
@@ -66,47 +68,33 @@ def init_intent(d: int, rng: Rng) -> IntentParams:
 
 @dataclass
 class IntentResult:
-    """Fused intent plus per-branch diagnostics (None for skipped branches)."""
+    """The fused intent and each branch's intent, one row per session
+    (None for a skipped branch), plus the β branch's per-node draws and
+    its count of clamped densities."""
 
     i: Tensor
     i_alpha: Tensor | None = None
     i_beta: Tensor | None = None
-    gates: np.ndarray | None = None
-    b: np.ndarray | None = None
-    beta_scores: np.ndarray | None = None
     draws: np.ndarray | None = None
     clamped: int = 0
 
 
-def _layout(last_index: int | Segments, n: int) -> tuple[Segments, bool]:
-    """The row segments of ``n`` node rows, and whether they are one
-    session given by the row of its last item."""
-    if isinstance(last_index, Segments):
-        if last_index.n != n:
-            raise DimensionError(f"segments over {last_index.n} rows given {n} nodes")
-        return last_index, False
-    return Segments.of_one(n, int(last_index)), True
+def _check_rows(segs: Segments, n: int) -> None:
+    if segs.n != n:
+        raise DimensionError(f"segments over {segs.n} rows given {n} nodes")
 
 
-def _squeeze(x: Tensor, single: bool) -> Tensor:
-    """One session's (1, w) row as a vector."""
-    return ad.reshape(x, (x.shape[1],)) if single else x
-
-
-def alpha_intent(
-    e: Tensor, last_index: int | Segments, params: IntentParams
-) -> tuple[Tensor, Tensor]:
-    """Soft attention anchored on the last item: returns (I_α, gates).
-
-    ``last_index`` is the last item's row of one session, or the
-    :class:`Segments` of a chunk, whose I_α has one row per session."""
-    segs, single = _layout(last_index, e.shape[0])
+def alpha_intent(e: Tensor, segs: Segments, params: IntentParams) -> tuple[Tensor, Tensor]:
+    """Soft attention anchored on each session's last item: returns
+    (I_α, gates), I_α with one row per session and the gates a column
+    with one row per node."""
+    _check_rows(segs, e.shape[0])
     logits = ad.add(
         ad.matmul(e, params.w1), ad.matmul(segs.to_last, ad.matmul(e, params.w2))
     )
     gates = ad.sigmoid(logits)
     i_alpha = ad.matmul(segs.member, ad.mul(gates, e))
-    return _squeeze(i_alpha, single), ad.reshape(gates, (segs.n,))
+    return i_alpha, gates
 
 
 def beta_shape_params(v: Tensor, t: Tensor) -> tuple[Tensor, Tensor]:
@@ -119,29 +107,30 @@ def beta_shape_params(v: Tensor, t: Tensor) -> tuple[Tensor, Tensor]:
 def beta_weights(
     v: Tensor,
     t: Tensor,
-    rng: Rng | Sequence[Rng] | None = None,
+    segments: Segments,
+    rng: Sequence[Rng] | None = None,
     mode: str = "sample",
     draws: np.ndarray | None = None,
-    segments: Segments | None = None,
-) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[Tensor, np.ndarray, int]:
     """Beta-density attention weights b_i, evaluated at one point per node.
 
-    ``mode`` picks the point: "sample" draws x_i ~ Beta(a_i, c_i) from
-    ``rng``, "mean" uses the distribution mean a/(a+c) (deterministic, for
-    evaluation), "fixed" uses caller-supplied ``draws`` (for gradient
-    checks).  With ``segments`` the rows are a chunk's sessions and
-    ``rng`` holds one stream per session, each drawing its own rows.
-    Returns (b, x, a, c, clamped_count); densities that underflow 1e-300
-    are clamped there and counted.
+    ``mode`` picks the point: "sample" draws x_i ~ Beta(a_i, c_i), each
+    session from its own stream in ``rng`` (one per session of
+    ``segments``), "mean" uses the distribution mean a/(a+c)
+    (deterministic, for evaluation), "fixed" uses caller-supplied
+    ``draws`` over all rows (for gradient checks).  Returns (b, x,
+    clamped_count); densities that underflow 1e-300 are clamped there and
+    counted.
     """
     if mode not in BETA_MODES:
         raise ConfigurationError(f"beta mode must be one of {BETA_MODES}, got {mode!r}")
+    _check_rows(segments, v.shape[0])
     a, c = beta_shape_params(v, t)
     if mode == "sample":
-        rngs = [rng] if segments is None else list(rng or ())
-        bounds = [0, a.shape[0]] if segments is None else [*segments.starts, segments.n]
-        if len(rngs) != len(bounds) - 1 or any(r is None for r in rngs):
+        rngs = list(rng or ())
+        if len(rngs) != len(segments) or any(r is None for r in rngs):
             raise ConfigurationError("beta mode 'sample' requires an rng per session")
+        bounds = [*segments.starts, segments.n]
         x = np.concatenate([
             ad.sample_beta(r, a.data[lo:hi], c.data[lo:hi])
             for r, lo, hi in zip(rngs, bounds, bounds[1:])
@@ -158,18 +147,16 @@ def beta_weights(
             raise DomainError("fixed draws must lie strictly inside (0, 1)")
     pdf = ad.exp(ad.log_beta_density(a, c, x))
     clamped = int(np.sum(pdf.data < PDF_FLOOR))
-    b = ad.clamp_min(pdf, PDF_FLOOR)
-    return b, x, a.data.copy(), c.data.copy(), clamped
+    return ad.clamp_min(pdf, PDF_FLOOR), x, clamped
 
 
 def beta_intent(
-    e: Tensor, b: Tensor, last_index: int | Segments, params: IntentParams
+    e: Tensor, b: Tensor, segs: Segments, params: IntentParams
 ) -> tuple[Tensor, Tensor]:
-    """Standardized Beta-attention aggregation: returns (I_β, β scores).
-
-    ``last_index`` is as for :func:`alpha_intent`; each session is
-    standardized by its own mean and std."""
-    segs, single = _layout(last_index, e.shape[0])
+    """Standardized Beta-attention aggregation: returns (I_β, β scores),
+    I_β with one row per session and the scores a column with one row per
+    node.  Each session is standardized by its own mean and std."""
+    _check_rows(segs, e.shape[0])
     scaled = ad.mul(ad.reshape(b, (segs.n, 1)), e)
     # v'_i − m = b_i e_i + (b_n e_n − m), the bracket once per session.
     shift = ad.matmul(segs.last_minus_mean, scaled)
@@ -179,7 +166,7 @@ def beta_intent(
     )
     scores = ad.matmul(standardized, params.w3)
     i_beta = ad.matmul(segs.member, ad.mul(scores, e))
-    return _squeeze(i_beta, single), ad.reshape(scores, (segs.n,))
+    return i_beta, scores
 
 
 def fuse(i_alpha: Tensor, i_beta: Tensor, lam: float) -> Tensor:
@@ -192,41 +179,32 @@ def fuse(i_alpha: Tensor, i_beta: Tensor, lam: float) -> Tensor:
 def compute_intent(
     v: Tensor,
     t: Tensor,
-    last_index: int | Segments,
+    segs: Segments,
     params: IntentParams,
     lam: float,
-    rng: Rng | Sequence[Rng] | None = None,
+    rng: Sequence[Rng] | None = None,
     beta_mode: str = "sample",
     draws: np.ndarray | None = None,
 ) -> IntentResult:
     """Full dual-intent pass with branch skipping at λ ∈ {0, 1}.
 
-    One session gives ``last_index`` its last item's row and one ``rng``;
-    a chunk gives its :class:`Segments` and one rng per session, and its
-    intents have one row per session.  ``draws`` and the per-node
-    diagnostics run over all rows.  At λ = 1 the β branch (shapes,
-    sampler, W3) is never executed; at λ = 0 the α branch (W1, W2) is
-    never executed.
+    The node rows of ``v`` and ``t`` belong to the sessions of ``segs``,
+    ``rng`` holds one Beta stream per session ("sample" mode) and
+    ``draws`` one point per node ("fixed" mode); every intent has one row
+    per session.  At λ = 1 the β branch (shapes, sampler, W3) is never
+    executed; at λ = 0 the α branch (W1, W2) is never executed.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigurationError(f"lambda must lie in [0, 1], got {lam}")
-    segs, single = _layout(last_index, v.shape[0])
     e = ad.concat([v, t])
     result = IntentResult(i=None)  # type: ignore[arg-type]
     if lam > 0.0:
-        i_alpha, gates = alpha_intent(e, segs, params)
-        result.i_alpha = _squeeze(i_alpha, single)
-        result.gates = gates.data.copy()
+        result.i_alpha, _ = alpha_intent(e, segs, params)
     if lam < 1.0:
-        b, x, _, _, clamped = beta_weights(
-            v, t, rng=[rng] if single else rng, mode=beta_mode, draws=draws, segments=segs
+        b, result.draws, result.clamped = beta_weights(
+            v, t, segs, rng=rng, mode=beta_mode, draws=draws
         )
-        i_beta, scores = beta_intent(e, b, segs, params)
-        result.i_beta = _squeeze(i_beta, single)
-        result.b = b.data.copy()
-        result.beta_scores = scores.data.copy()
-        result.draws = x
-        result.clamped = clamped
+        result.i_beta, _ = beta_intent(e, b, segs, params)
     if lam >= 1.0:
         result.i = result.i_alpha
     elif lam <= 0.0:

@@ -18,13 +18,15 @@ items be scored through the same theta map at recommendation time.
 
 Sessions run in chunks: the disjoint union of a chunk's session graphs
 goes through the pipeline as one graph, with one intent row, one logit
-row and one loss term per session.  A single session is a chunk of one.
+row and one loss term per session.  A single session is a chunk of one;
+:func:`forward` is the one wrapper that returns its intent as a vector.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
@@ -97,8 +99,8 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.h < 0:
             raise ConfigurationError(f"h must be non-negative, got {self.h}")
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigurationError(f"lr must be finite and positive, got {self.lr}")
         if self.candidate_mode not in CANDIDATE_MODES:
             raise ConfigurationError(
                 f"candidate_mode must be full_vocab or sampled, got {self.candidate_mode!r}"
@@ -309,8 +311,7 @@ class ForwardResult:
     v: Tensor
     t: Tensor
     intent: IntentResult
-    # The fused intent: one row per session of a chunk, a vector for one
-    # session.
+    # The fused intent, one row per session; a vector from forward().
     i: Tensor
 
 
@@ -354,7 +355,8 @@ def forward(
     session_id: str = "",
     draws: np.ndarray | None = None,
 ) -> ForwardResult:
-    """:func:`forward_chunk` of one session, whose intent ``i`` is a vector.
+    """The single-session wrapper: :func:`forward_chunk` of one session,
+    with its intent row ``i`` returned as a vector.
 
     ``draws`` replays fixed per-node Beta draws (beta_mode="fixed"), which
     keeps the stochastic branch exactly reproducible for gradient checks.
@@ -395,7 +397,7 @@ def session_candidates(
     """The training candidate ids of one session under ``cfg.candidate_mode``."""
     if cfg.candidate_mode == "sampled":
         if neg_rng is None:
-            raise ConfigurationError("sampled candidate mode needs an rng")
+            raise ConfigurationError("sampled candidate mode needs a negatives rng")
         return sampled_candidate_ids(n_items, history, gt, cfg.negatives, neg_rng)
     return candidate_ids(n_items, history, gt)
 
@@ -412,17 +414,14 @@ def infer_candidate_embeddings(
     return theta_forward(params.theta, atr)
 
 
-def score_candidates(i_vec: Tensor, w_proj: Tensor, cand_emb: Tensor) -> Tensor:
-    """Logit per candidate: (I @ W_I) . c_i, for one intent vector, or a
-    (sessions, candidates) matrix for a chunk's intent rows."""
+def score_candidates(i_rows: Tensor, w_proj: Tensor, cand_emb: Tensor) -> Tensor:
+    """Logit per session and candidate: (I @ W_I) . c_i, a (sessions,
+    candidates) matrix for a chunk's intent rows."""
     if cand_emb.data.shape[0] == 0:
         raise DomainError("cannot score an empty candidate set")
-    single = i_vec.ndim == 1
-    u = ad.matmul(ad.reshape(i_vec, (1, i_vec.shape[0])) if single else i_vec, w_proj)
     # candidates × sessions, then transposed: a copy the size of the
     # logits, not of the candidate table.
-    scores = ad.matmul(cand_emb, ad.transpose(u))
-    return ad.reshape(scores, (cand_emb.shape[0],)) if single else ad.transpose(scores)
+    return ad.transpose(ad.matmul(cand_emb, ad.transpose(ad.matmul(i_rows, w_proj))))
 
 
 @dataclass
@@ -456,7 +455,9 @@ def session_loss(
     histories, and ``gt``, ``rng``, ``session_id`` and, when given,
     ``draws``, ``neg_rng`` and ``cand`` hold one entry per session.
 
-    ``cand`` is each session's candidate ids (drawn here when omitted).
+    ``cand`` is each session's candidate ids.  When it is omitted they
+    are drawn here, in sampled mode from ``neg_rng``, never from the Beta
+    stream ``rng``.
     ``table`` is ``(rows, emb)``: θ embeddings ``emb`` of the sorted item
     ids ``rows``, a superset of every ``cand`` that a batch shares.
     Without it the table is θ over the chunk's candidates, on the caller's
@@ -474,8 +475,8 @@ def session_loss(
     if cand is None:
         negs = neg_rng or [None] * len(gt)
         cand = [
-            session_candidates(h, g, data.n_items, cfg, nr or r)
-            for h, g, nr, r in zip(history, gt, negs, rng or [None] * len(gt))
+            session_candidates(h, g, data.n_items, cfg, nr)
+            for h, g, nr in zip(history, gt, negs)
         ]
     if table is None:
         rows = reduce(np.union1d, cand)

@@ -178,11 +178,6 @@ class Segments:
         self.to_last = Tensor(spread @ last)
         self.last_minus_mean = Tensor(last - member / self.lengths[:, None])
 
-    @classmethod
-    def of_one(cls, n: int, last_index: int) -> "Segments":
-        """One session over all ``n`` rows, last item in row ``last_index``."""
-        return cls([0], [last_index], n)
-
     def __len__(self) -> int:
         return len(self.starts)
 

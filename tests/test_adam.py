@@ -69,9 +69,11 @@ class TestAdam:
             np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
 
     def test_invalid_hyperparameters_rejected(self):
-        """Non-positive lr and out-of-range betas are configuration errors."""
-        with pytest.raises(ConfigurationError):
-            Adam(lr=0.0)
+        """Non-positive or non-finite lr and out-of-range betas are
+        configuration errors."""
+        for lr in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="lr must be finite and positive"):
+                Adam(lr=lr)
         with pytest.raises(ConfigurationError):
             Adam(beta1=1.0)
 

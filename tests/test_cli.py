@@ -207,6 +207,13 @@ class TestExitCodes:
         argv = ["train", str(shards), "--config", str(cfg), "--out", str(tmp_path / "t")]
         assert main(argv) == 1
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_returns_one(self, shards, tmp_path, capsys, lr):
+        """A NaN or infinite lr is a configuration error, not a data fault."""
+        argv = ["train", str(shards), "--lr", lr, "--out", str(tmp_path / "t")]
+        assert main(argv) == 1
+        assert "lr must be finite and positive" in capsys.readouterr().err
+
     def test_sweep_value_out_of_range_returns_one(self, shards, tmp_path):
         argv = ["sweep", str(shards), "--param", "lambda", "--values", "0.5,1.5",
                 "--out", str(tmp_path / "s")]

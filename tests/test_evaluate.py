@@ -30,7 +30,7 @@ from nirrec.evaluate import (
 from nirrec.ingest import AttributeMatrix, EncodedSession, load_shards, prepare, save_shards
 from nirrec.model import (
     candidate_ids,
-    forward,
+    forward_chunk,
     infer_candidate_embeddings,
     init_params,
     load_params,
@@ -340,14 +340,14 @@ def per_session_rankings(params, data, cfg, beta_mode="mean", rng=None) -> list[
     out = []
     for sess in data.test:
         cand = candidate_ids(data.n_items, sess.history)
-        fwd = forward(
-            sess.history, params, data, cfg.lambda_,
-            rng=None if rng is None else rng.derive(sess.session_id),
-            beta_mode=beta_mode, session_id=sess.session_id,
+        fwd = forward_chunk(
+            [sess.history], params, data, cfg.lambda_,
+            rngs=None if rng is None else [rng.derive(sess.session_id)],
+            beta_mode=beta_mode, session_ids=[sess.session_id],
         )
         logits = score_candidates(
             fwd.i, params.w_proj, infer_candidate_embeddings(params, data, cand)
-        ).data
+        ).data[0]
         out.append(cand[np.lexsort((cand, -logits))])
     return out
 
@@ -486,10 +486,9 @@ class TestRankOnLogits:
         params = init_params(data, cfg)
         history = [3, 3]
         cand = candidate_ids(data.n_items, history)
-        fwd = forward(history, params, data, cfg.lambda_, beta_mode="mean")
-        logits = score_candidates(
-            fwd.i, params.w_proj, infer_candidate_embeddings(params, data, cand)
-        )
+        fwd = forward_chunk([history], params, data, cfg.lambda_, beta_mode="mean")
+        emb = infer_candidate_embeddings(params, data, cand)
+        logits = ad.reshape(score_candidates(fwd.i, params.w_proj, emb), (len(cand),))
         probs = ad.softmax(logits)
         underflow = probs.data == 0.0
         assert underflow.sum() >= 2

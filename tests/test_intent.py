@@ -1,6 +1,7 @@
 """Dual-intent checks: α gates, Beta-density weights with closed-form shape
 constructions, an independent straight-line oracle, fusion algebra, and
-branch skipping at λ ∈ {0, 1}."""
+branch skipping at λ ∈ {0, 1}.  Each case is one session, a chunk of one:
+its intents are a single row."""
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 
 import nirrec.autodiff as ad
 from nirrec.autodiff import Rng, Tensor
-from nirrec.errors import ConfigurationError
+from nirrec.errors import ConfigurationError, DimensionError
 from nirrec.intent import (
     IntentParams,
     alpha_intent,
@@ -20,6 +21,7 @@ from nirrec.intent import (
     fuse,
     init_intent,
 )
+from nirrec.sessiongraph import Segments
 
 D = 4
 
@@ -66,6 +68,12 @@ def random_nodes(rng, n):
     return v, t
 
 
+def one(n, last):
+    """The segments of a single session over ``n`` rows, last item in row
+    ``last``."""
+    return Segments([0], [last], n)
+
+
 def toy_params(seed=0):
     return init_intent(D, Rng(seed, "intent"))
 
@@ -89,9 +97,11 @@ class TestAlphaIntent:
             w2=Tensor(np.zeros((2 * D, 1))),
             w3=Tensor(np.zeros((2 * D, 1))),
         )
-        i_alpha, gates = alpha_intent(e, 4, params)
-        np.testing.assert_array_equal(gates.data, np.full(5, 0.5))
-        np.testing.assert_allclose(i_alpha.data, 0.5 * np.hstack([v, t]).sum(axis=0), rtol=1e-14)
+        i_alpha, gates = alpha_intent(e, one(5, 4), params)
+        np.testing.assert_array_equal(gates.data, np.full((5, 1), 0.5))
+        np.testing.assert_allclose(
+            i_alpha.data, 0.5 * np.hstack([v, t]).sum(axis=0, keepdims=True), rtol=1e-14
+        )
 
     def test_single_node(self):
         """n = 1: I_α = g₁·e₁."""
@@ -99,8 +109,8 @@ class TestAlphaIntent:
         v, t = random_nodes(rng, 1)
         params = toy_params()
         e = ad.concat([Tensor(v), Tensor(t)])
-        i_alpha, gates = alpha_intent(e, 0, params)
-        np.testing.assert_allclose(i_alpha.data, gates.data[0] * np.hstack([v, t])[0], rtol=1e-14)
+        i_alpha, gates = alpha_intent(e, one(1, 0), params)
+        np.testing.assert_allclose(i_alpha.data, gates.data[0] * np.hstack([v, t]), rtol=1e-14)
 
     def test_gradient_wrt_w1(self):
         """d(Σ I_α)/d W1 matches central finite differences, rel. 1e-4."""
@@ -113,7 +123,7 @@ class TestAlphaIntent:
         def value(w1_arr):
             params.w1 = Tensor(w1_arr)
             e = ad.concat([Tensor(v), Tensor(t)])
-            i_alpha, _ = alpha_intent(e, 2, params)
+            i_alpha, _ = alpha_intent(e, one(3, 2), params)
             return ad.reduce_sum(i_alpha).item()
 
         h = 1e-5
@@ -126,7 +136,7 @@ class TestAlphaIntent:
         params.w1 = Tensor(base, requires_grad=True)
         with ad.Tape() as tape:
             e = ad.concat([Tensor(v), Tensor(t)])
-            i_alpha, _ = alpha_intent(e, 2, params)
+            i_alpha, _ = alpha_intent(e, one(3, 2), params)
             tape.backward(ad.reduce_sum(i_alpha))
         np.testing.assert_allclose(params.w1.grad, numeric, rtol=1e-4, atol=1e-8)
         assert e_const.shape == (3, 2 * D)
@@ -143,7 +153,7 @@ class TestBetaWeights:
         a, c = beta_shape_params(v, t)
         np.testing.assert_allclose(a.data, 1.0, rtol=1e-12)
         np.testing.assert_allclose(c.data, 1.0, rtol=1e-12)
-        b, _, _, _, clamped = beta_weights(v, t, rng=Rng(0, "u"), mode="sample")
+        b, _, clamped = beta_weights(v, t, one(3, 2), rng=[Rng(0, "u")], mode="sample")
         np.testing.assert_allclose(b.data, 1.0, rtol=1e-10)
         assert clamped == 0
 
@@ -151,9 +161,10 @@ class TestBetaWeights:
         """a=2, c=3, x=0.5: δ = Γ(5)/(Γ(2)Γ(3)) = 12 and b = 12·0.5·0.25 = 1.5."""
         v = Tensor(np.full((2, D), entry_for_shape(2.0)))
         t = Tensor(np.full((2, D), entry_for_shape(3.0)))
-        b, x, a, c, _ = beta_weights(v, t, mode="fixed", draws=np.full(2, 0.5))
-        np.testing.assert_allclose(a, 2.0, rtol=1e-12)
-        np.testing.assert_allclose(c, 3.0, rtol=1e-12)
+        a, c = beta_shape_params(v, t)
+        b, x, _ = beta_weights(v, t, one(2, 1), mode="fixed", draws=np.full(2, 0.5))
+        np.testing.assert_allclose(a.data, 2.0, rtol=1e-12)
+        np.testing.assert_allclose(c.data, 3.0, rtol=1e-12)
         np.testing.assert_allclose(b.data, 1.5, rtol=1e-10)
         np.testing.assert_array_equal(x, [0.5, 0.5])
 
@@ -162,7 +173,8 @@ class TestBetaWeights:
         rng = np.random.default_rng(3)
         v_arr, t_arr = random_nodes(rng, 6)
         draws = rng.uniform(0.05, 0.95, size=6)
-        b, _, a, c, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), mode="fixed", draws=draws)
+        a, c = beta_shape_params(Tensor(v_arr), Tensor(t_arr))
+        b, _, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(6, 5), mode="fixed", draws=draws)
         want = [
             math.exp(
                 math.lgamma(ai + ci)
@@ -171,7 +183,7 @@ class TestBetaWeights:
                 + (ai - 1) * math.log(xi)
                 + (ci - 1) * math.log1p(-xi)
             )
-            for ai, ci, xi in zip(a, c, draws)
+            for ai, ci, xi in zip(a.data, c.data, draws)
         ]
         np.testing.assert_allclose(b.data, want, rtol=1e-8)
 
@@ -180,14 +192,16 @@ class TestBetaWeights:
         rng = np.random.default_rng(4)
         for trial in range(20):
             v_arr, t_arr = random_nodes(rng, 4)
-            b, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), rng=Rng(trial, "pos"))
+            b, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(4, 3), rng=[Rng(trial, "pos")])
             assert np.all(b.data > 0.0)
 
     def test_underflow_clamped_and_counted(self):
         """A draw deep in the lower tail underflows the density to 1e-300."""
         v = Tensor(np.full((2, D), entry_for_shape(3.0)))
         t = Tensor(np.full((2, D), entry_for_shape(2.0)))
-        b, _, _, _, clamped = beta_weights(v, t, mode="fixed", draws=np.array([1e-200, 0.5]))
+        b, _, clamped = beta_weights(
+            v, t, one(2, 1), mode="fixed", draws=np.array([1e-200, 0.5])
+        )
         assert clamped == 1
         assert b.data[0] == 1e-300
         assert b.data[1] > 1e-300
@@ -196,8 +210,8 @@ class TestBetaWeights:
         """Same rng keys → identical draws and weights."""
         rng = np.random.default_rng(5)
         v_arr, t_arr = random_nodes(rng, 5)
-        b1, x1, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), rng=Rng(11, "det"))
-        b2, x2, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), rng=Rng(11, "det"))
+        b1, x1, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(5, 4), rng=[Rng(11, "det")])
+        b2, x2, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(5, 4), rng=[Rng(11, "det")])
         np.testing.assert_array_equal(b1.data, b2.data)
         np.testing.assert_array_equal(x1, x2)
 
@@ -205,8 +219,9 @@ class TestBetaWeights:
         """Evaluation mode fixes x_i = a_i/(a_i + c_i), no rng needed."""
         rng = np.random.default_rng(6)
         v_arr, t_arr = random_nodes(rng, 4)
-        _, x, a, c, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), mode="mean")
-        np.testing.assert_allclose(x, a / (a + c), rtol=1e-14)
+        a, c = beta_shape_params(Tensor(v_arr), Tensor(t_arr))
+        _, x, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(4, 3), mode="mean")
+        np.testing.assert_allclose(x, a.data / (a.data + c.data), rtol=1e-14)
 
 
 class TestBetaIntent:
@@ -222,10 +237,10 @@ class TestBetaIntent:
             w2=Tensor(np.zeros((2 * D, 1))),
             w3=Tensor(np.zeros((2 * D, 1))),
         )
-        b, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), rng=Rng(1, "z"))
-        i_beta, scores = beta_intent(e, b, 3, params)
-        np.testing.assert_array_equal(scores.data, np.zeros(4))
-        np.testing.assert_array_equal(i_beta.data, np.zeros(2 * D))
+        b, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(4, 3), rng=[Rng(1, "z")])
+        i_beta, scores = beta_intent(e, b, one(4, 3), params)
+        np.testing.assert_array_equal(scores.data, np.zeros((4, 1)))
+        np.testing.assert_array_equal(i_beta.data, np.zeros((1, 2 * D)))
 
     def test_single_node_stays_finite(self):
         """n = 1 gives s = 0; the ε guard keeps everything finite."""
@@ -233,8 +248,8 @@ class TestBetaIntent:
         v_arr, t_arr = random_nodes(rng, 1)
         e = ad.concat([Tensor(v_arr), Tensor(t_arr)])
         params = toy_params(9)
-        b, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), rng=Rng(2, "one"))
-        i_beta, scores = beta_intent(e, b, 0, params)
+        b, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(1, 0), rng=[Rng(2, "one")])
+        i_beta, scores = beta_intent(e, b, one(1, 0), params)
         assert np.all(np.isfinite(i_beta.data))
         assert np.all(np.isfinite(scores.data))
 
@@ -243,7 +258,7 @@ class TestBetaIntent:
         rng = np.random.default_rng(9)
         v_arr, t_arr = random_nodes(rng, 5)
         draws = rng.uniform(0.2, 0.8, size=5)
-        b, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), mode="fixed", draws=draws)
+        b, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(5, 4), mode="fixed", draws=draws)
         e = np.hstack([v_arr, t_arr])
         m = (b.data[:, None] * e).mean(axis=0)
         # oracle identity: recomputing the mean from the returned weights
@@ -254,7 +269,9 @@ class TestComputeIntent:
     """Fusion, the straight-line oracle, and λ branch skipping."""
 
     def test_matches_straight_line_oracle(self):
-        """20 random cases in fixed-draw mode agree within 1e-10."""
+        """20 random cases in fixed-draw mode agree within 1e-10: the
+        intent of compute_intent, and the gates, weights and scores of the
+        branch functions it calls."""
         rng = np.random.default_rng(10)
         for trial in range(20):
             n = int(rng.integers(1, 7))
@@ -263,16 +280,21 @@ class TestComputeIntent:
             lam = float(rng.uniform(0.05, 0.95))
             draws = rng.uniform(0.05, 0.95, size=n)
             params = toy_params(trial)
+            segs = one(n, last)
             res = compute_intent(
-                Tensor(v_arr), Tensor(t_arr), last, params, lam, beta_mode="fixed", draws=draws
+                Tensor(v_arr), Tensor(t_arr), segs, params, lam, beta_mode="fixed", draws=draws
             )
+            e = ad.concat([Tensor(v_arr), Tensor(t_arr)])
+            _, gates = alpha_intent(e, segs, params)
+            b, _, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), segs, mode="fixed", draws=draws)
+            _, scores = beta_intent(e, b, segs, params)
             want_i, want_gates, want_b, want_scores = intent_oracle(
                 v_arr, t_arr, params.w1.data, params.w2.data, params.w3.data, last, lam, draws
             )
-            np.testing.assert_allclose(res.i.data, want_i, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(res.gates, want_gates, rtol=1e-10)
-            np.testing.assert_allclose(res.b, want_b, rtol=1e-10)
-            np.testing.assert_allclose(res.beta_scores, want_scores, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(res.i.data, [want_i], rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(gates.data.ravel(), want_gates, rtol=1e-10)
+            np.testing.assert_allclose(b.data, want_b, rtol=1e-10)
+            np.testing.assert_allclose(scores.data.ravel(), want_scores, rtol=1e-10, atol=1e-12)
 
     def test_fuse_endpoints_and_midpoint(self):
         """λ = 1 → I_α; λ = 0 → I_β; λ = 0.5 midpoint of [2,0] and [0,2]."""
@@ -291,7 +313,7 @@ class TestComputeIntent:
         draws = rng.uniform(0.1, 0.9, size=4)
         params = toy_params(12)
         res = compute_intent(
-            Tensor(v_arr), Tensor(t_arr), 1, params, 0.3, beta_mode="fixed", draws=draws
+            Tensor(v_arr), Tensor(t_arr), one(4, 1), params, 0.3, beta_mode="fixed", draws=draws
         )
         want = 0.3 * res.i_alpha.data + 0.7 * res.i_beta.data
         np.testing.assert_array_equal(res.i.data, want)
@@ -301,10 +323,10 @@ class TestComputeIntent:
         rng = np.random.default_rng(12)
         v_arr, t_arr = random_nodes(rng, 4)
         params = toy_params(13)
-        res = compute_intent(Tensor(v_arr), Tensor(t_arr), 2, params, 1.0, rng=None)
+        res = compute_intent(Tensor(v_arr), Tensor(t_arr), one(4, 2), params, 1.0, rng=None)
         assert res.i_beta is None and res.draws is None
         params.w3 = Tensor(params.w3.data + 100.0)
-        res2 = compute_intent(Tensor(v_arr), Tensor(t_arr), 2, params, 1.0, rng=None)
+        res2 = compute_intent(Tensor(v_arr), Tensor(t_arr), one(4, 2), params, 1.0, rng=None)
         np.testing.assert_array_equal(res.i.data, res2.i.data)
 
     def test_lambda_zero_ignores_alpha_weights(self):
@@ -312,11 +334,15 @@ class TestComputeIntent:
         rng = np.random.default_rng(13)
         v_arr, t_arr = random_nodes(rng, 4)
         params = toy_params(14)
-        r1 = compute_intent(Tensor(v_arr), Tensor(t_arr), 0, params, 0.0, rng=Rng(3, "b"))
+        r1 = compute_intent(
+            Tensor(v_arr), Tensor(t_arr), one(4, 0), params, 0.0, rng=[Rng(3, "b")]
+        )
         params.w1 = Tensor(params.w1.data + 50.0)
         params.w2 = Tensor(params.w2.data - 50.0)
-        r2 = compute_intent(Tensor(v_arr), Tensor(t_arr), 0, params, 0.0, rng=Rng(3, "b"))
-        assert r1.i_alpha is None and r1.gates is None
+        r2 = compute_intent(
+            Tensor(v_arr), Tensor(t_arr), one(4, 0), params, 0.0, rng=[Rng(3, "b")]
+        )
+        assert r1.i_alpha is None
         np.testing.assert_array_equal(r1.i.data, r2.i.data)
 
     def test_padded_rows_removed_by_mask_slice(self):
@@ -331,16 +357,40 @@ class TestComputeIntent:
         draws = rng.uniform(0.1, 0.9, size=n)
         params = toy_params(15)
         direct = compute_intent(
-            Tensor(v_arr), Tensor(t_arr), 1, params, 0.5, beta_mode="fixed", draws=draws
+            Tensor(v_arr), Tensor(t_arr), one(n, 1), params, 0.5, beta_mode="fixed", draws=draws
         )
         keep = np.arange(n)
         sliced = compute_intent(
             ad.take_rows(Tensor(v_pad), keep),
             ad.take_rows(Tensor(t_pad), keep),
-            1,
+            one(n, 1),
             params,
             0.5,
             beta_mode="fixed",
             draws=draws,
         )
         np.testing.assert_allclose(sliced.i.data, direct.i.data, atol=1e-12)
+
+
+class TestSessionRows:
+    """Every function takes the segments of its rows' sessions."""
+
+    def test_segments_must_cover_every_row(self):
+        rng = np.random.default_rng(15)
+        v_arr, t_arr = random_nodes(rng, 4)
+        e = ad.concat([Tensor(v_arr), Tensor(t_arr)])
+        params = toy_params(16)
+        with pytest.raises(DimensionError, match="segments over 3 rows given 4 nodes"):
+            compute_intent(Tensor(v_arr), Tensor(t_arr), one(3, 2), params, 0.5, beta_mode="mean")
+        with pytest.raises(DimensionError):
+            alpha_intent(e, one(5, 2), params)
+        with pytest.raises(DimensionError):
+            beta_weights(Tensor(v_arr), Tensor(t_arr), one(3, 2), mode="mean")
+
+    def test_sample_mode_needs_an_rng_per_session(self):
+        rng = np.random.default_rng(17)
+        v_arr, t_arr = random_nodes(rng, 4)
+        segs = Segments([0, 2], [1, 3], 4)
+        for streams in (None, [Rng(0, "a")], [Rng(0, "a"), None]):
+            with pytest.raises(ConfigurationError, match="an rng per session"):
+                beta_weights(Tensor(v_arr), Tensor(t_arr), segs, rng=streams)

@@ -22,6 +22,7 @@ from nirrec.model import (
     apply_ablation,
     candidate_ids,
     forward,
+    forward_chunk,
     infer_candidate_embeddings,
     init_params,
     load_params,
@@ -147,37 +148,39 @@ class TestScoring:
 
     def test_single_candidate_scores_one(self):
         emb = infer_candidate_embeddings(self.params, self.data, np.array([4]))
-        i_vec = Tensor(np.random.default_rng(0).normal(size=8))
-        z = ad.softmax(score_candidates(i_vec, self.params.w_proj, emb))
-        np.testing.assert_allclose(z.data, [1.0])
+        i_rows = Tensor(np.random.default_rng(0).normal(size=(1, 8)))
+        z = ad.softmax(score_candidates(i_rows, self.params.w_proj, emb))
+        np.testing.assert_allclose(z.data, [[1.0]])
 
     def test_identical_candidates_split_evenly(self):
         emb = infer_candidate_embeddings(self.params, self.data, np.array([4, 4]))
-        i_vec = Tensor(np.random.default_rng(1).normal(size=8))
-        z = ad.softmax(score_candidates(i_vec, self.params.w_proj, emb))
-        np.testing.assert_allclose(z.data, [0.5, 0.5], rtol=1e-12)
+        i_rows = Tensor(np.random.default_rng(1).normal(size=(1, 8)))
+        z = ad.softmax(score_candidates(i_rows, self.params.w_proj, emb))
+        np.testing.assert_allclose(z.data, [[0.5, 0.5]], rtol=1e-12)
 
     def test_logits_match_dot_product_oracle(self):
+        """One row of logits per session's intent row."""
         cand = np.array([4, 5, 6, 7])
         emb = infer_candidate_embeddings(self.params, self.data, cand)
-        i_vec = Tensor(np.random.default_rng(2).normal(size=8))
-        logits = score_candidates(i_vec, self.params.w_proj, emb)
-        u = i_vec.data @ self.params.w_proj.data
-        want = emb.data @ u
-        np.testing.assert_allclose(logits.data, want, rtol=1e-12)
+        i_rows = Tensor(np.random.default_rng(2).normal(size=(3, 8)))
+        logits = score_candidates(i_rows, self.params.w_proj, emb)
+        assert logits.shape == (3, len(cand))
+        for row, i_vec in zip(logits.data, i_rows.data):
+            want = emb.data @ (i_vec @ self.params.w_proj.data)
+            np.testing.assert_allclose(row, want, rtol=1e-12)
 
     def test_probability_vector(self):
         cand = candidate_ids(self.data.n_items, [1, 2, 3])
         emb = infer_candidate_embeddings(self.params, self.data, cand)
-        i_vec = Tensor(np.random.default_rng(3).normal(size=8))
-        z = ad.softmax(score_candidates(i_vec, self.params.w_proj, emb))
+        i_rows = Tensor(np.random.default_rng(3).normal(size=(1, 8)))
+        z = ad.softmax(score_candidates(i_rows, self.params.w_proj, emb))
         assert z.data.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(z.data > 0)
 
     def test_empty_candidates_rejected(self):
         emb = infer_candidate_embeddings(self.params, self.data, np.zeros(0, dtype=np.int64))
         with pytest.raises(DomainError, match="empty candidate"):
-            score_candidates(Tensor(np.zeros(8)), self.params.w_proj, emb)
+            score_candidates(Tensor(np.zeros((1, 8))), self.params.w_proj, emb)
 
     def test_constant_logit_shift_preserves_order(self):
         rng = np.random.default_rng(4)
@@ -236,10 +239,10 @@ class TestSessionLoss:
         params = init_params(data, cfg)
         history = [3, 3]
         cand = candidate_ids(data.n_items, history)
-        fwd = forward(history, params, data, cfg.lambda_, beta_mode="mean")
+        fwd = forward_chunk([history], params, data, cfg.lambda_, beta_mode="mean")
         logits = score_candidates(
             fwd.i, params.w_proj, infer_candidate_embeddings(params, data, cand)
-        ).data
+        ).data[0]
         gt = int(np.argmin(logits))
         with ad.Tape() as tape:
             parts = session_loss(
@@ -259,12 +262,56 @@ class TestSessionLoss:
 
     def test_sampled_mode_includes_gt(self):
         cfg = small_cfg(candidate_mode="sampled", negatives=2)
-        parts = self.run_loss(cfg, rng=Rng(5, "s"), beta_mode="sample")
+        parts = self.run_loss(cfg, rng=Rng(5, "s"), beta_mode="sample", neg_rng=Rng(5, "n"))
         assert np.isfinite(float(parts.loss.data))
+
+    def test_sampled_mode_needs_its_own_negatives_rng(self):
+        """Negatives never come from the Beta stream: without ``neg_rng``
+        sampled mode raises, in the scalar and the chunk form."""
+        cfg = small_cfg(candidate_mode="sampled", negatives=2)
+        with pytest.raises(ConfigurationError, match="negatives rng"):
+            self.run_loss(cfg, rng=Rng(5, "s"), beta_mode="sample")
+        params = init_params(self.data, cfg)
+        with pytest.raises(ConfigurationError, match="negatives rng"):
+            session_loss(
+                [[1, 2, 3], [2, 3]], [4, 5], params, self.data, cfg,
+                rng=[Rng(5, "s"), Rng(6, "s")], beta_mode="sample", session_id=["a", "b"],
+            )
 
 
 def collect_grads(named):
     return {k: (None if t.grad is None else t.grad.copy()) for k, t in named.items()}
+
+
+class TestSingleSessionForward:
+    """``forward`` is ``forward_chunk`` of one session with its intent row
+    as a vector, and that row is the session's row in any chunk."""
+
+    @pytest.mark.parametrize("beta_mode", ["mean", "sample"])
+    def test_forward_is_its_row_of_a_chunk(self, beta_mode):
+        data = tiny_data()
+        cfg = small_cfg()
+        params = init_params(data, cfg)
+        histories = [[1, 2, 3], [2, 3], [6, 5, 6]]
+        ids = ["a", "b", "c"]
+
+        def rng(sid):
+            return Rng(7, "beta", sid) if beta_mode == "sample" else None
+
+        alone = forward(histories[1], params, data, cfg.lambda_, rng=rng("b"),
+                        beta_mode=beta_mode, session_id="b")
+        one = forward_chunk([histories[1]], params, data, cfg.lambda_, rngs=[rng("b")],
+                            beta_mode=beta_mode, session_ids=["b"])
+        chunk = forward_chunk(histories, params, data, cfg.lambda_,
+                              rngs=[rng(s) for s in ids], beta_mode=beta_mode, session_ids=ids)
+        assert alone.i.shape == (2 * cfg.d,)
+        assert one.i.shape == (1, 2 * cfg.d) and chunk.i.shape == (3, 2 * cfg.d)
+        np.testing.assert_array_equal(alone.i.data, one.i.data[0])
+        np.testing.assert_allclose(alone.i.data, chunk.i.data[1], rtol=1e-12, atol=1e-12)
+        if beta_mode == "sample":
+            rows = chunk.graph.segments
+            lo, hi = rows.starts[1], rows.starts[2]
+            np.testing.assert_array_equal(alone.intent.draws, chunk.intent.draws[lo:hi])
 
 
 class TestEndToEndGradients:
@@ -727,8 +774,9 @@ class TestConfigValidation:
             small_cfg(gamma=-0.1)
         with pytest.raises(ConfigurationError, match="d must be positive"):
             small_cfg(d=0)
-        with pytest.raises(ConfigurationError, match="lr"):
-            small_cfg(lr=0.0)
+        for lr in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match="lr must be finite and positive"):
+                small_cfg(lr=lr)
         with pytest.raises(ConfigurationError, match="candidate_mode"):
             small_cfg(candidate_mode="all")
         with pytest.raises(ConfigurationError, match="eval_ks"):
