@@ -40,7 +40,13 @@ __all__ = [
     "clamp_min",
     "log_gamma",
     "log_beta_density",
+    "beta_shapes",
+    "beta_density",
     "gated_graph_step",
+    "attention_readout",
+    "standardized_readout",
+    "path_embedding",
+    "mix",
     "matmul",
     "transpose",
     "reshape",
@@ -383,17 +389,85 @@ def log_beta_density(a, c, x) -> Tensor:
         raise DimensionError(
             f"log_beta_density: expected equal 1-d shapes, got {a.shape}, {c.shape} and {x.shape}"
         )
-    stack = np.stack([a.data + c.data, a.data, c.data])
-    lg = _log_gamma_arr(stack)
-    log_x, log_1mx = np.log(x), np.log1p(-x)
-    out = Tensor((lg[0] - (lg[1] + lg[2])) + ((a.data - 1.0) * log_x + (c.data - 1.0) * log_1mx))
+    stack, log_x, log_1mx, value = _log_beta(a.data, c.data, x)
+    out = Tensor(value)
 
     def rule(g: np.ndarray) -> None:
-        psi = _digamma_arr(stack)
-        _accumulate(a, g * (psi[0] - psi[1] + log_x))
-        _accumulate(c, g * (psi[0] - psi[2] + log_1mx))
+        d_a, d_c = _log_beta_grads(g, stack, log_x, log_1mx)
+        _accumulate(a, d_a)
+        _accumulate(c, d_c)
 
     return _record(out, (a, c), rule)
+
+
+def _log_beta(a: np.ndarray, c: np.ndarray, x: np.ndarray):
+    """The stack ``[a+c, a, c]``, ln x, ln(1−x) and ln Beta(x; a, c)."""
+    stack = np.stack([a + c, a, c])
+    lg = _log_gamma_arr(stack)
+    log_x, log_1mx = np.log(x), np.log1p(-x)
+    value = (lg[0] - (lg[1] + lg[2])) + ((a - 1.0) * log_x + (c - 1.0) * log_1mx)
+    return stack, log_x, log_1mx, value
+
+
+def _log_beta_grads(g, stack, log_x, log_1mx) -> tuple[np.ndarray, np.ndarray]:
+    psi = _digamma_arr(stack)
+    return g * (psi[0] - psi[1] + log_x), g * (psi[0] - psi[2] + log_1mx)
+
+
+def beta_shapes(v, t) -> Tensor:
+    """Beta shapes of n node rows from two n-row blocks, as a 2 × n tensor:
+    row 0 holds a_i = φ(mean_k ϱ(v_ik)), row 1 c_i = φ(mean_k ϱ(t_ik)),
+    with φ = ϱ = softplus.
+
+    One op for the two chains of :func:`softplus`, :func:`reduce_mean` and
+    :func:`softplus`, with the same NumPy calls in the same order, so its
+    rows are bit-identical to theirs.  Softplus saturates nothing, so an
+    overflowed mean shows in the output, which is checked as every op's is.
+    """
+    v, t = _as_tensor(v), _as_tensor(t)
+    if v.ndim != 2 or t.ndim != 2 or v.shape[0] != t.shape[0]:
+        raise DimensionError(
+            f"beta_shapes: expected two 2-d blocks of equal rows, got {v.shape} and {t.shape}"
+        )
+    if not (v.shape[1] and t.shape[1]):
+        raise DomainError("beta_shapes: empty reduction along axis 1")
+    means = [np.logaddexp(0.0, block.data).mean(axis=1) for block in (v, t)]
+    out = Tensor(np.stack([np.logaddexp(0.0, m) for m in means]))
+
+    def rule(g: np.ndarray) -> None:
+        # softplus' = σ, in the tanh half-angle form of sigmoid().
+        for block, m, g_shape in zip((v, t), means, g):
+            d_mean = g_shape * 0.5 * (1.0 + np.tanh(0.5 * m)) / block.shape[1]
+            _accumulate(block, d_mean[:, None] * (0.5 * (1.0 + np.tanh(0.5 * block.data))))
+
+    return _record(out, (v, t), rule)
+
+
+def beta_density(shapes, x) -> Tensor:
+    """Beta(x; a, c) elementwise for the 2 × n ``shapes`` of
+    :func:`beta_shapes` (rows a and c, > 0) and constant points ``x``.
+
+    One op for :func:`exp` of :func:`log_beta_density`, with the same
+    NumPy calls, so its values are bit-identical to that pair's.  The
+    log-density is checked for NaN and Inf, which exp would map to a
+    finite 0 (a point outside (0, 1)); an overflowed density fails the
+    output's own check.
+    """
+    shapes = _as_tensor(shapes)
+    x = np.asarray(x, dtype=np.float64)
+    if shapes.ndim != 2 or shapes.shape[0] != 2 or x.shape != shapes.shape[1:]:
+        raise DimensionError(
+            f"beta_density: expected 2 × n shapes and n points, got {shapes.shape} and {x.shape}"
+        )
+    stack, log_x, log_1mx, log_pdf = _log_beta(shapes.data[0], shapes.data[1], x)
+    if not all_finite(log_pdf):
+        raise NonFiniteError("beta_density: the log-density contains NaN or Inf")
+    out = Tensor(np.exp(log_pdf))
+
+    def rule(g: np.ndarray, y: np.ndarray = out.data) -> None:
+        _accumulate(shapes, np.stack(_log_beta_grads(g * y, stack, log_x, log_1mx)))
+
+    return _record(out, (shapes,), rule)
 
 
 def gated_graph_step(adj_out, adj_in, v, h, b, wz, uz, wr, ur, wo, uo) -> Tensor:
@@ -461,6 +535,192 @@ def gated_graph_step(adj_out, adj_in, v, h, b, wz, uz, wr, ur, wo, uo) -> Tensor
         )
 
     return _record(out, (v, h, b, wz, uz, wr, ur, wo, uo), rule)
+
+
+def attention_readout(e, w1, w2, member, to_last) -> tuple[Tensor, np.ndarray]:
+    """Soft attention over n node rows ``e`` (n × m), read out as one row
+    per segment:
+
+        g = σ(e·w1 + to_last·(e·w2)),   out = member·(g ⊙ e)
+
+    for ``w1`` and ``w2`` m × 1 and the constant 0/1 matrices ``member``
+    (segments × n, summing each segment's rows) and ``to_last`` (n × n,
+    giving each row its segment's anchor row).  Returns the readout and
+    the gates g, an n × 1 array that takes no gradient.
+
+    One op for the seven :func:`matmul`, :func:`add`, :func:`sigmoid` and
+    :func:`mul` that spell it, with the same NumPy calls in the same
+    order, so its values are bit-identical to theirs.  The gate
+    pre-activation is checked for NaN and Inf, which σ would saturate
+    into a finite gate.
+    """
+    e, w1, w2 = map(_as_tensor, (e, w1, w2))
+    member = np.asarray(member, dtype=np.float64)
+    to_last = np.asarray(to_last, dtype=np.float64)
+    if e.ndim != 2:
+        raise DimensionError(f"attention_readout: expected (n, m) node rows, got {e.shape}")
+    n, m = e.shape
+    if member.ndim != 2 or member.shape[1] != n or to_last.shape != (n, n):
+        raise DimensionError(
+            f"attention_readout: segment matrices {member.shape}/{to_last.shape} do not "
+            f"match {n} rows"
+        )
+    if w1.shape != (m, 1) or w2.shape != (m, 1):
+        raise DimensionError(f"attention_readout: weights do not fit {m}-wide rows")
+    ed = e.data
+    e_w2 = ed @ w2.data
+    logits = ed @ w1.data + to_last @ e_w2
+    if not all_finite(logits):
+        raise NonFiniteError("attention_readout: a gate pre-activation contains NaN or Inf")
+    gates = 0.5 * (1.0 + np.tanh(0.5 * logits))
+    out = Tensor(member @ (gates * ed))
+
+    def rule(g: np.ndarray) -> None:
+        d_ge = member.T @ g
+        d_logits = (d_ge * ed).sum(axis=1, keepdims=True) * gates * (1.0 - gates)
+        d_e_w2 = to_last.T @ d_logits
+        _accumulate(w1, ed.T @ d_logits)
+        _accumulate(w2, ed.T @ d_e_w2)
+        _accumulate(e, d_ge * gates + d_logits @ w1.data.T + d_e_w2 @ w2.data.T)
+
+    return _record(out, (e, w1, w2), rule), gates
+
+
+def standardized_readout(
+    e, b, w3, starts, member, spread, last_minus_mean, eps: float
+) -> tuple[Tensor, np.ndarray]:
+    """Node rows ``e`` (n × m) weighted by ``b`` (length n), standardized
+    per segment and read out as one row per segment:
+
+        x_i = b_i e_i,   y_i = (x_i + x_l − mean_j x_j) / (s + eps),
+        β_i = y_i·w3,    out = member·(β ⊙ e)
+
+    where l is the segment's anchor row, the mean is over the segment's
+    rows and s is the population std of its weights (:func:`segment_std`).
+    Segment r runs from ``starts[r]`` to the next start; ``member`` sums
+    each segment's rows, ``spread`` (n × segments) copies a segment's row
+    to each of its rows and ``last_minus_mean`` (segments × n) gives
+    x_l − mean_j x_j.  Returns the readout and the scores β, an n × 1
+    array that takes no gradient.
+
+    One op for the thirteen that spell it (:func:`reshape`, :func:`mul`,
+    :func:`matmul`, :func:`segment_std`, :func:`add` and :func:`div`),
+    with the same NumPy calls in the same order, so its values are
+    bit-identical to theirs.  The std is checked for NaN and Inf, which
+    the division would turn into a finite 0.
+    """
+    e, b, w3 = map(_as_tensor, (e, b, w3))
+    starts = np.asarray(starts, dtype=np.int64)
+    member, spread, last_minus_mean = (
+        np.asarray(x, dtype=np.float64) for x in (member, spread, last_minus_mean)
+    )
+    if e.ndim != 2 or b.shape != e.shape[:1]:
+        raise DimensionError(
+            f"standardized_readout: expected (n, m) rows and n weights, got {e.shape} and {b.shape}"
+        )
+    n, m = e.shape
+    k = len(starts)
+    if member.shape != (k, n) or spread.shape != (n, k) or last_minus_mean.shape != (k, n):
+        raise DimensionError(
+            f"standardized_readout: segment matrices do not match {k} segments over {n} rows"
+        )
+    if w3.shape != (m, 1):
+        raise DimensionError(f"standardized_readout: weights do not fit {m}-wide rows")
+    ed, bd = e.data, b.data
+    b_col = bd.reshape(n, 1)
+    scaled = b_col * ed
+    shift = last_minus_mean @ scaled
+    lengths, dev, s = _segment_std(bd, starts)
+    if not all_finite(s):
+        raise NonFiniteError("standardized_readout: a weight std contains NaN or Inf")
+    num = scaled + spread @ shift
+    den = spread @ (s + eps).reshape(k, 1)
+    standardized = num / den
+    scores = standardized @ w3.data
+    out = Tensor(member @ (scores * ed))
+
+    def rule(g: np.ndarray) -> None:
+        d_se = member.T @ g
+        d_scores = (d_se * ed).sum(axis=1, keepdims=True)
+        _accumulate(w3, standardized.T @ d_scores)
+        d_num = (d_scores @ w3.data.T) / den
+        d_den = -(d_num * standardized).sum(axis=1, keepdims=True)
+        d_scaled = d_num + last_minus_mean.T @ (member @ d_num)
+        d_s = (member @ d_den)[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(s > 0.0, d_s / (lengths * s), 0.0)
+        _accumulate(b, (d_scaled * ed).sum(axis=1) + dev * np.repeat(scale, lengths))
+        _accumulate(e, d_se * scores + d_scaled * b_col)
+
+    return _record(out, (e, b, w3), rule), scores
+
+
+def path_embedding(tables, ids, w, b) -> Tensor:
+    """tanh((T_1[p_1] ⊕ … ⊕ T_k[p_k])·w + b) for each row (p_1, …, p_k)
+    of the n × k integer ``ids``: a row of each of the k ``tables``,
+    concatenated and mapped through one tanh layer (``w`` of as many rows
+    as the tables are wide together, ``b`` one entry per column of ``w``).
+
+    One op for the chain of k :func:`take_rows`, a :func:`concat`,
+    :func:`matmul`, :func:`add` and :func:`tanh`, with the same NumPy
+    calls in the same order, so its values are bit-identical to that
+    chain's.  Backward scatter-adds into each table's gradient buffer, as
+    :func:`take_rows` does.  The pre-activation is checked for NaN and
+    Inf, which tanh would saturate into a finite output.
+    """
+    tables = [_as_tensor(t) for t in tables]
+    w, b = _as_tensor(w), _as_tensor(b)
+    idx = np.asarray(ids, dtype=np.int64)
+    if idx.ndim != 2 or idx.shape[1] != len(tables) or any(t.ndim != 2 for t in tables):
+        raise DimensionError(
+            f"path_embedding: expected (n, {len(tables)}) ids into 2-d tables, got {idx.shape}"
+        )
+    widths = [t.shape[1] for t in tables]
+    if w.ndim != 2 or w.shape[0] != sum(widths) or b.shape != w.shape[1:]:
+        raise DimensionError(
+            f"path_embedding: weights {w.shape} and bias {b.shape} do not fit "
+            f"{sum(widths)}-wide rows"
+        )
+    for t, col in zip(tables, idx.T):
+        rows = t.shape[0]
+        if col.size and (col.min() < 0 or col.max() >= rows):
+            bad = int(col[(col < 0) | (col >= rows)][0])
+            raise DomainError(f"path_embedding: index {bad} out of range for {rows} rows")
+    gathered = np.concatenate([t.data[idx[:, k]] for k, t in enumerate(tables)], axis=-1)
+    pre = gathered @ w.data + b.data
+    if not all_finite(pre):
+        raise NonFiniteError("path_embedding: the pre-activation contains NaN or Inf")
+    out = Tensor(np.tanh(pre))
+
+    def rule(g: np.ndarray, y: np.ndarray = out.data) -> None:
+        d_pre = g * (1.0 - y * y)
+        _accumulate(w, gathered.T @ d_pre)
+        _accumulate(b, d_pre.sum(axis=0))
+        d_rows = d_pre @ w.data.T
+        lo = 0
+        for k, (t, width) in enumerate(zip(tables, widths)):
+            if t.requires_grad:
+                # In place, as take_rows: a lookup touches a few table rows.
+                np.add.at(_grad_buffer(t), idx[:, k], d_rows[:, lo : lo + width])
+            lo += width
+
+    return _record(out, (*tables, w, b), rule)
+
+
+def mix(a, b, w: float) -> Tensor:
+    """w·a + (1 − w)·b for equal shapes and a constant weight ``w``: one
+    op for ``add(mul(a, w), mul(b, 1 − w))``, bit-identical to it."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"mix: shapes {a.shape} and {b.shape} differ")
+    w = float(w)
+    out = Tensor(a.data * w + b.data * (1.0 - w))
+
+    def rule(g: np.ndarray) -> None:
+        _accumulate(a, g * w)
+        _accumulate(b, g * (1.0 - w))
+
+    return _record(out, (a, b), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +993,7 @@ def segment_std(t, starts) -> Tensor:
         raise DimensionError(
             f"segment_std: expected a 1-d tensor and 1-d starts, got {t.shape} and {starts.shape}"
         )
-    lengths = np.diff(starts, append=t.size)
-    if starts[0] != 0 or lengths.min() < 1:
-        raise DomainError("segment_std: segments must start at 0 and be non-empty")
-    m = np.add.reduceat(t.data, starts) / lengths
-    dev = t.data - np.repeat(m, lengths)
-    s = np.sqrt(np.add.reduceat(dev * dev, starts) / lengths)
+    lengths, dev, s = _segment_std(t.data, starts)
     out = Tensor(s)
 
     def rule(g: np.ndarray) -> None:
@@ -748,6 +1003,17 @@ def segment_std(t, starts) -> Tensor:
         _accumulate(t, dev * np.repeat(scale, lengths))
 
     return _record(out, (t,), rule)
+
+
+def _segment_std(x: np.ndarray, starts: np.ndarray):
+    """Each segment's length, each entry's deviation from its segment's
+    mean, and each segment's population std."""
+    lengths = np.diff(starts, append=x.size)
+    if starts[0] != 0 or lengths.min() < 1:
+        raise DomainError("segment_std: segments must start at 0 and be non-empty")
+    m = np.add.reduceat(x, starts) / lengths
+    dev = x - np.repeat(m, lengths)
+    return lengths, dev, np.sqrt(np.add.reduceat(dev * dev, starts) / lengths)
 
 
 def masked_cross_entropy(logits, mask, targets) -> Tensor:

@@ -128,18 +128,12 @@ def init_encoder(
 
 
 def taxonomy_embed(enc: EncoderParams, level_ids: np.ndarray) -> Tensor:
-    """Compress per-item (t1, t2, t3) index rows into d-dim embeddings."""
+    """Compress per-item (t1, t2, t3) index rows into d-dim embeddings, one
+    :func:`nirrec.autodiff.path_embedding` op."""
     ids = np.asarray(level_ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] != 3:
         raise DimensionError(f"taxonomy paths must be (n, 3), got {ids.shape}")
-    rows = ad.concat(
-        [
-            ad.take_rows(enc.tax1, ids[:, 0]),
-            ad.take_rows(enc.tax2, ids[:, 1]),
-            ad.take_rows(enc.tax3, ids[:, 2]),
-        ]
-    )
-    return ad.tanh(ad.add(ad.matmul(rows, enc.w_tax), enc.b_tax))
+    return ad.path_embedding((enc.tax1, enc.tax2, enc.tax3), ids, enc.w_tax, enc.b_tax)
 
 
 def ggnn_forward(

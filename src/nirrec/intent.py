@@ -25,6 +25,16 @@ whose: every sum, mean, std and last-item anchor above is taken over each
 session's own rows, each session draws from its own stream, and every
 intent has one row per session.  A single session is a chunk of one
 (:func:`nirrec.model.forward` turns its row into a vector).
+
+Each step is one autodiff op with a hand-derived backward, bit-identical
+in value to the chain of elementary ops it replaces: the α branch is one
+:func:`nirrec.autodiff.attention_readout`, the Beta shapes one
+:func:`nirrec.autodiff.beta_shapes`, the density one
+:func:`nirrec.autodiff.beta_density` before its floor, the β aggregation
+one :func:`nirrec.autodiff.standardized_readout` and the fusion one
+:func:`nirrec.autodiff.mix`.  They read the segments' constant 0/1
+arrays directly.  The gates and β scores come back as plain arrays
+beside the intents, for inspection; no gradient flows through them.
 """
 
 from __future__ import annotations
@@ -84,24 +94,19 @@ def _check_rows(segs: Segments, n: int) -> None:
         raise DimensionError(f"segments over {segs.n} rows given {n} nodes")
 
 
-def alpha_intent(e: Tensor, segs: Segments, params: IntentParams) -> tuple[Tensor, Tensor]:
-    """Soft attention anchored on each session's last item: returns
-    (I_α, gates), I_α with one row per session and the gates a column
-    with one row per node."""
+def alpha_intent(e: Tensor, segs: Segments, params: IntentParams) -> tuple[Tensor, np.ndarray]:
+    """Soft attention anchored on each session's last item, one
+    :func:`nirrec.autodiff.attention_readout` op: returns (I_α, gates),
+    I_α with one row per session and the gates a column array with one row
+    per node."""
     _check_rows(segs, e.shape[0])
-    logits = ad.add(
-        ad.matmul(e, params.w1), ad.matmul(segs.to_last, ad.matmul(e, params.w2))
-    )
-    gates = ad.sigmoid(logits)
-    i_alpha = ad.matmul(segs.member, ad.mul(gates, e))
-    return i_alpha, gates
+    return ad.attention_readout(e, params.w1, params.w2, segs.member, segs.to_last)
 
 
-def beta_shape_params(v: Tensor, t: Tensor) -> tuple[Tensor, Tensor]:
-    """Per-node Beta shapes a_i = φ(mean(ϱ(v_i))), c_i = φ(mean(ϱ(t_i)))."""
-    a = ad.softplus(ad.reduce_mean(ad.softplus(v), axis=1))
-    c = ad.softplus(ad.reduce_mean(ad.softplus(t), axis=1))
-    return a, c
+def beta_shape_params(v: Tensor, t: Tensor) -> Tensor:
+    """Per-node Beta shapes a_i = φ(mean(ϱ(v_i))), c_i = φ(mean(ϱ(t_i))),
+    the rows of one 2 × n :func:`nirrec.autodiff.beta_shapes` op."""
+    return ad.beta_shapes(v, t)
 
 
 def beta_weights(
@@ -125,55 +130,50 @@ def beta_weights(
     if mode not in BETA_MODES:
         raise ConfigurationError(f"beta mode must be one of {BETA_MODES}, got {mode!r}")
     _check_rows(segments, v.shape[0])
-    a, c = beta_shape_params(v, t)
+    shapes = beta_shape_params(v, t)
+    a, c = shapes.data
     if mode == "sample":
         rngs = list(rng or ())
         if len(rngs) != len(segments) or any(r is None for r in rngs):
             raise ConfigurationError("beta mode 'sample' requires an rng per session")
         bounds = [*segments.starts, segments.n]
         x = np.concatenate([
-            ad.sample_beta(r, a.data[lo:hi], c.data[lo:hi])
-            for r, lo, hi in zip(rngs, bounds, bounds[1:])
+            ad.sample_beta(r, a[lo:hi], c[lo:hi]) for r, lo, hi in zip(rngs, bounds, bounds[1:])
         ])
     elif mode == "mean":
-        x = a.data / (a.data + c.data)
+        x = a / (a + c)
     else:
         if draws is None:
             raise ConfigurationError("beta mode 'fixed' requires draws")
         x = np.asarray(draws, dtype=np.float64)
-        if x.shape != a.data.shape:
-            raise DimensionError(f"draws shape {x.shape} != node count {a.data.shape}")
+        if x.shape != a.shape:
+            raise DimensionError(f"draws shape {x.shape} != node count {a.shape}")
         if np.any(x <= 0.0) or np.any(x >= 1.0):
             raise DomainError("fixed draws must lie strictly inside (0, 1)")
-    pdf = ad.exp(ad.log_beta_density(a, c, x))
+    pdf = ad.beta_density(shapes, x)
     clamped = int(np.sum(pdf.data < PDF_FLOOR))
     return ad.clamp_min(pdf, PDF_FLOOR), x, clamped
 
 
 def beta_intent(
     e: Tensor, b: Tensor, segs: Segments, params: IntentParams
-) -> tuple[Tensor, Tensor]:
-    """Standardized Beta-attention aggregation: returns (I_β, β scores),
-    I_β with one row per session and the scores a column with one row per
-    node.  Each session is standardized by its own mean and std."""
+) -> tuple[Tensor, np.ndarray]:
+    """Standardized Beta-attention aggregation, one
+    :func:`nirrec.autodiff.standardized_readout` op: returns (I_β, β
+    scores), I_β with one row per session and the scores a column array
+    with one row per node.  Each session is standardized by its own mean
+    and std."""
     _check_rows(segs, e.shape[0])
-    scaled = ad.mul(ad.reshape(b, (segs.n, 1)), e)
-    # v'_i − m = b_i e_i + (b_n e_n − m), the bracket once per session.
-    shift = ad.matmul(segs.last_minus_mean, scaled)
-    s = ad.reshape(ad.add(ad.segment_std(b, segs.starts), STD_EPS), (len(segs), 1))
-    standardized = ad.div(
-        ad.add(scaled, ad.matmul(segs.spread, shift)), ad.matmul(segs.spread, s)
+    return ad.standardized_readout(
+        e, b, params.w3, segs.starts, segs.member, segs.spread, segs.last_minus_mean, STD_EPS
     )
-    scores = ad.matmul(standardized, params.w3)
-    i_beta = ad.matmul(segs.member, ad.mul(scores, e))
-    return i_beta, scores
 
 
 def fuse(i_alpha: Tensor, i_beta: Tensor, lam: float) -> Tensor:
-    """Convex combination I = λ I_α + (1−λ) I_β."""
+    """Convex combination I = λ I_α + (1−λ) I_β, one op."""
     if not 0.0 <= lam <= 1.0:
         raise ConfigurationError(f"lambda must lie in [0, 1], got {lam}")
-    return ad.add(ad.mul(i_alpha, lam), ad.mul(i_beta, 1.0 - lam))
+    return ad.mix(i_alpha, i_beta, lam)
 
 
 def compute_intent(

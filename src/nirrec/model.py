@@ -283,9 +283,9 @@ def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, Trai
 # Graph nodes per chunk: training and evaluation run the sessions of a
 # batch in chunks of at most this many nodes together, each as one graph
 # (a session with more nodes is a chunk of its own).  A chunk's tape
-# holds about seventy ops whatever its size, so a chunk costs about what
-# one session did; its activations grow with its nodes, about 28 kB per
-# node at d = 64.  128 trained about 10% faster than 96, but raised the
+# holds about 35 ops whatever its size, so a chunk costs about what one
+# session did; its activations grow with its nodes, about 18 kB per node
+# at d = 64.  128 trained about 10% faster than 96, but raised the
 # peak RSS of perfbench's long-sessions workload by 5%, against 2% at 96,
 # when a node held about 40 kB (before the fused GGNN step).
 CHUNK_NODES = 96
@@ -548,6 +548,8 @@ def train(
     beta_root = Rng(cfg.beta_seed_effective, "beta")
     epoch_log: list[dict] = []
     n = len(data.train)
+    sampled = cfg.candidate_mode == "sampled"
+    draws_beta = cfg.lambda_ < 1.0
 
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
@@ -559,10 +561,12 @@ def train(
         for lo in range(0, n, cfg.batch_size):
             batch = [data.train[int(idx)] for idx in order[lo : lo + cfg.batch_size]]
             zero_grads(trainable)
+            # A stream is derived only where it is drawn from: negatives in
+            # sampled mode, Beta points below λ = 1.
             cands = [
                 session_candidates(
                     sess.history, sess.gt, data.n_items, cfg,
-                    root.derive("negatives", epoch, sess.session_id),
+                    root.derive("negatives", epoch, sess.session_id) if sampled else None,
                 )
                 for sess in batch
             ]
@@ -585,6 +589,9 @@ def train(
 
             def step(part: slice) -> SessionLossParts:
                 """Forward and backward of the batch's sessions ``part``."""
+                beta_rngs = None
+                if draws_beta:
+                    beta_rngs = [beta_root.derive(epoch, sess.session_id) for sess in batch[part]]
                 with ad.Tape() as tape:
                     parts = session_loss(
                         [sess.history for sess in batch[part]],
@@ -592,7 +599,7 @@ def train(
                         params,
                         data,
                         cfg,
-                        rng=[beta_root.derive(epoch, sess.session_id) for sess in batch[part]],
+                        rng=beta_rngs,
                         beta_mode="sample",
                         session_id=[sess.session_id for sess in batch[part]],
                         cand=cands[part],

@@ -24,7 +24,6 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import DimensionError, IngestionError
 
 ItemId = Hashable
@@ -140,13 +139,14 @@ class Segments:
 
     Session r owns the contiguous rows ``starts[r]`` up to the next start
     (the last session up to ``n``), and its most recent history item sits
-    in row ``last_rows[r]``.  Four constant 0/1 tensors move values
-    between sessions and rows as matrix products, which backpropagate as
-    products too: ``member @ x`` sums each session's rows, ``spread @ y``
-    copies each session's row of ``y`` to all of its rows, ``to_last @ x``
-    gives every row its session's last row, and ``last_minus_mean @ x`` is
-    each session's last row minus its mean row.  Entries of other sessions
-    are exact zeros, so no session's value leaks into another's.
+    in row ``last_rows[r]``.  Four constant 0/1 arrays move values
+    between sessions and rows as matrix products, which the intent ops of
+    :mod:`nirrec.autodiff` backpropagate as products too: ``member @ x``
+    sums each session's rows, ``spread @ y`` copies each session's row of
+    ``y`` to all of its rows, ``to_last @ x`` gives every row its
+    session's last row, and ``last_minus_mean @ x`` is each session's last
+    row minus its mean row.  Entries of other sessions are exact zeros, so
+    no session's value leaks into another's.
     """
 
     def __init__(self, starts: Sequence[int], last_rows: Sequence[int], n: int) -> None:
@@ -169,14 +169,12 @@ class Segments:
             raise DimensionError(
                 f"last_index {int(offset[r])} out of range for {int(self.lengths[r])} nodes"
             )
-        member = np.repeat(np.eye(len(self.starts)), self.lengths, axis=1)
-        spread = member.T.copy()
-        last = np.zeros_like(member)
+        self.member = np.repeat(np.eye(len(self.starts)), self.lengths, axis=1)
+        self.spread = self.member.T.copy()
+        last = np.zeros_like(self.member)
         last[np.arange(len(self.starts)), self.last_rows] = 1.0
-        self.member = Tensor(member)
-        self.spread = Tensor(spread)
-        self.to_last = Tensor(spread @ last)
-        self.last_minus_mean = Tensor(last - member / self.lengths[:, None])
+        self.to_last = self.spread @ last
+        self.last_minus_mean = last - self.member / self.lengths[:, None]
 
     def __len__(self) -> int:
         return len(self.starts)

@@ -107,14 +107,14 @@ class TestGraphUnion:
 
     def test_segment_matrices(self):
         segs = Segments([0, 3, 4], [2, 3, 4], 6)
-        np.testing.assert_array_equal(segs.member.data, [
+        np.testing.assert_array_equal(segs.member, [
             [1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1],
         ])
-        np.testing.assert_array_equal(segs.spread.data, segs.member.data.T)
-        np.testing.assert_array_equal(segs.to_last.data @ np.arange(6.0), [2, 2, 2, 3, 4, 4])
+        np.testing.assert_array_equal(segs.spread, segs.member.T)
+        np.testing.assert_array_equal(segs.to_last @ np.arange(6.0), [2, 2, 2, 3, 4, 4])
         x = np.arange(12.0).reshape(6, 2)
         want = np.stack([x[2] - x[:3].mean(0), x[3] - x[3], x[4] - x[4:].mean(0)])
-        np.testing.assert_allclose(segs.last_minus_mean.data @ x, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(segs.last_minus_mean @ x, want, rtol=0, atol=1e-14)
 
     def test_invalid_segments_rejected(self):
         for starts, last in (([1], [1]), ([0, 0], [0, 0]), ([0, 4], [0, 4])):

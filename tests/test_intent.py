@@ -98,7 +98,7 @@ class TestAlphaIntent:
             w3=Tensor(np.zeros((2 * D, 1))),
         )
         i_alpha, gates = alpha_intent(e, one(5, 4), params)
-        np.testing.assert_array_equal(gates.data, np.full((5, 1), 0.5))
+        np.testing.assert_array_equal(gates, np.full((5, 1), 0.5))
         np.testing.assert_allclose(
             i_alpha.data, 0.5 * np.hstack([v, t]).sum(axis=0, keepdims=True), rtol=1e-14
         )
@@ -110,7 +110,7 @@ class TestAlphaIntent:
         params = toy_params()
         e = ad.concat([Tensor(v), Tensor(t)])
         i_alpha, gates = alpha_intent(e, one(1, 0), params)
-        np.testing.assert_allclose(i_alpha.data, gates.data[0] * np.hstack([v, t]), rtol=1e-14)
+        np.testing.assert_allclose(i_alpha.data, gates[0] * np.hstack([v, t]), rtol=1e-14)
 
     def test_gradient_wrt_w1(self):
         """d(Σ I_α)/d W1 matches central finite differences, rel. 1e-4."""
@@ -150,9 +150,9 @@ class TestBetaWeights:
         x = entry_for_shape(1.0)
         v = Tensor(np.full((3, D), x))
         t = Tensor(np.full((3, D), x))
-        a, c = beta_shape_params(v, t)
-        np.testing.assert_allclose(a.data, 1.0, rtol=1e-12)
-        np.testing.assert_allclose(c.data, 1.0, rtol=1e-12)
+        a, c = beta_shape_params(v, t).data
+        np.testing.assert_allclose(a, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(c, 1.0, rtol=1e-12)
         b, _, clamped = beta_weights(v, t, one(3, 2), rng=[Rng(0, "u")], mode="sample")
         np.testing.assert_allclose(b.data, 1.0, rtol=1e-10)
         assert clamped == 0
@@ -161,10 +161,10 @@ class TestBetaWeights:
         """a=2, c=3, x=0.5: δ = Γ(5)/(Γ(2)Γ(3)) = 12 and b = 12·0.5·0.25 = 1.5."""
         v = Tensor(np.full((2, D), entry_for_shape(2.0)))
         t = Tensor(np.full((2, D), entry_for_shape(3.0)))
-        a, c = beta_shape_params(v, t)
+        a, c = beta_shape_params(v, t).data
         b, x, _ = beta_weights(v, t, one(2, 1), mode="fixed", draws=np.full(2, 0.5))
-        np.testing.assert_allclose(a.data, 2.0, rtol=1e-12)
-        np.testing.assert_allclose(c.data, 3.0, rtol=1e-12)
+        np.testing.assert_allclose(a, 2.0, rtol=1e-12)
+        np.testing.assert_allclose(c, 3.0, rtol=1e-12)
         np.testing.assert_allclose(b.data, 1.5, rtol=1e-10)
         np.testing.assert_array_equal(x, [0.5, 0.5])
 
@@ -173,7 +173,7 @@ class TestBetaWeights:
         rng = np.random.default_rng(3)
         v_arr, t_arr = random_nodes(rng, 6)
         draws = rng.uniform(0.05, 0.95, size=6)
-        a, c = beta_shape_params(Tensor(v_arr), Tensor(t_arr))
+        a, c = beta_shape_params(Tensor(v_arr), Tensor(t_arr)).data
         b, _, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(6, 5), mode="fixed", draws=draws)
         want = [
             math.exp(
@@ -183,7 +183,7 @@ class TestBetaWeights:
                 + (ai - 1) * math.log(xi)
                 + (ci - 1) * math.log1p(-xi)
             )
-            for ai, ci, xi in zip(a.data, c.data, draws)
+            for ai, ci, xi in zip(a, c, draws)
         ]
         np.testing.assert_allclose(b.data, want, rtol=1e-8)
 
@@ -219,9 +219,9 @@ class TestBetaWeights:
         """Evaluation mode fixes x_i = a_i/(a_i + c_i), no rng needed."""
         rng = np.random.default_rng(6)
         v_arr, t_arr = random_nodes(rng, 4)
-        a, c = beta_shape_params(Tensor(v_arr), Tensor(t_arr))
+        a, c = beta_shape_params(Tensor(v_arr), Tensor(t_arr)).data
         _, x, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(4, 3), mode="mean")
-        np.testing.assert_allclose(x, a.data / (a.data + c.data), rtol=1e-14)
+        np.testing.assert_allclose(x, a / (a + c), rtol=1e-14)
 
 
 class TestBetaIntent:
@@ -239,7 +239,7 @@ class TestBetaIntent:
         )
         b, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(4, 3), rng=[Rng(1, "z")])
         i_beta, scores = beta_intent(e, b, one(4, 3), params)
-        np.testing.assert_array_equal(scores.data, np.zeros((4, 1)))
+        np.testing.assert_array_equal(scores, np.zeros((4, 1)))
         np.testing.assert_array_equal(i_beta.data, np.zeros((1, 2 * D)))
 
     def test_single_node_stays_finite(self):
@@ -251,7 +251,7 @@ class TestBetaIntent:
         b, *_ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(1, 0), rng=[Rng(2, "one")])
         i_beta, scores = beta_intent(e, b, one(1, 0), params)
         assert np.all(np.isfinite(i_beta.data))
-        assert np.all(np.isfinite(scores.data))
+        assert np.all(np.isfinite(scores))
 
     def test_scaled_mean_identity(self):
         """The standardization center m is exactly mean_j(b_j e_j)."""
@@ -292,9 +292,9 @@ class TestComputeIntent:
                 v_arr, t_arr, params.w1.data, params.w2.data, params.w3.data, last, lam, draws
             )
             np.testing.assert_allclose(res.i.data, [want_i], rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(gates.data.ravel(), want_gates, rtol=1e-10)
+            np.testing.assert_allclose(gates.ravel(), want_gates, rtol=1e-10)
             np.testing.assert_allclose(b.data, want_b, rtol=1e-10)
-            np.testing.assert_allclose(scores.data.ravel(), want_scores, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(scores.ravel(), want_scores, rtol=1e-10, atol=1e-12)
 
     def test_fuse_endpoints_and_midpoint(self):
         """λ = 1 → I_α; λ = 0 → I_β; λ = 0.5 midpoint of [2,0] and [0,2]."""

@@ -457,6 +457,23 @@ class TestTraining:
         train(data, small_cfg(epochs=1, seed=2)).params.save(p2)
         assert p1.read_bytes() != p2.read_bytes()
 
+    @pytest.mark.parametrize("mode", CANDIDATE_MODES)
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_streams_derived_only_where_drawn(self, monkeypatch, mode, lam):
+        """A negatives stream only in sampled mode, Beta streams only below
+        λ = 1."""
+        derived = []
+        original = Rng.derive
+
+        def recording(self, *keys):
+            derived.append(self.keys + keys)
+            return original(self, *keys)
+
+        monkeypatch.setattr(Rng, "derive", recording)
+        train(tiny_data(), small_cfg(candidate_mode=mode, lambda_=lam))
+        assert any(k[:2] == ("train", "negatives") for k in derived) == (mode == "sampled")
+        assert any(k[:1] == ("beta",) for k in derived) == (lam < 1.0)
+
     def test_loss_decreases_on_tiny_overfit(self):
         data = tiny_data()
         result = train(data, small_cfg(epochs=8, lr=0.02, batch_size=4))
