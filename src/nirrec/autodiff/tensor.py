@@ -14,7 +14,6 @@ tape:`` block and only into tensors whose ``requires_grad`` flag is set
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,10 +64,9 @@ __all__ = [
 
 
 def all_finite(arr: np.ndarray) -> bool:
-    """Whether every element of a float array is finite.  A finite sum
-    means every element is; a sum that overflows (NumPy warns) falls back
-    to the elementwise check."""
-    return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
+    """Whether every element of a float array is finite.  Elementwise, so
+    finite values whose sum would overflow pass without a warning."""
+    return bool(np.isfinite(arr).all())
 
 
 class Tensor:
@@ -537,116 +535,106 @@ def gated_graph_step(adj_out, adj_in, v, h, b, wz, uz, wr, ur, wo, uo) -> Tensor
     return _record(out, (v, h, b, wz, uz, wr, ur, wo, uo), rule)
 
 
-def attention_readout(e, w1, w2, member, to_last) -> tuple[Tensor, np.ndarray]:
+def attention_readout(e, w1, w2, starts, last_rows) -> tuple[Tensor, np.ndarray]:
     """Soft attention over n node rows ``e`` (n × m), read out as one row
     per segment:
 
-        g = σ(e·w1 + to_last·(e·w2)),   out = member·(g ⊙ e)
+        g_i = σ(e_i·w1 + e_l·w2),   out_r = Σ_{i in r} g_i e_i
 
-    for ``w1`` and ``w2`` m × 1 and the constant 0/1 matrices ``member``
-    (segments × n, summing each segment's rows) and ``to_last`` (n × n,
-    giving each row its segment's anchor row).  Returns the readout and
-    the gates g, an n × 1 array that takes no gradient.
+    for ``w1`` and ``w2`` m × 1, where segment r runs from ``starts[r]``
+    to the next start (the last to n) and l = ``last_rows[r]`` is its
+    anchor row.  Returns the readout and the gates g, an n × 1 array that
+    takes no gradient.
 
     One op for the seven :func:`matmul`, :func:`add`, :func:`sigmoid` and
-    :func:`mul` that spell it, with the same NumPy calls in the same
-    order, so its values are bit-identical to theirs.  The gate
-    pre-activation is checked for NaN and Inf, which σ would saturate
-    into a finite gate.
+    :func:`mul` that spell it with 0/1 segment matrices: the anchor is a
+    gather, so the gates are bit-identical to that chain's, and the sums
+    run in row order (``np.add.reduceat``), so the readout and gradients
+    agree with it to rounding, within 1e-14 of their largest magnitude.
+    The gate pre-activation is checked for NaN and Inf, which σ would
+    saturate into a finite gate.
     """
     e, w1, w2 = map(_as_tensor, (e, w1, w2))
-    member = np.asarray(member, dtype=np.float64)
-    to_last = np.asarray(to_last, dtype=np.float64)
     if e.ndim != 2:
         raise DimensionError(f"attention_readout: expected (n, m) node rows, got {e.shape}")
     n, m = e.shape
-    if member.ndim != 2 or member.shape[1] != n or to_last.shape != (n, n):
-        raise DimensionError(
-            f"attention_readout: segment matrices {member.shape}/{to_last.shape} do not "
-            f"match {n} rows"
-        )
+    starts, last_rows, lengths = _segment_layout("attention_readout", starts, last_rows, n)
     if w1.shape != (m, 1) or w2.shape != (m, 1):
         raise DimensionError(f"attention_readout: weights do not fit {m}-wide rows")
     ed = e.data
-    e_w2 = ed @ w2.data
-    logits = ed @ w1.data + to_last @ e_w2
+    # Gathered after the product, so that the gates are the chain's bit for bit.
+    logits = ed @ w1.data + np.repeat((ed @ w2.data)[last_rows], lengths, axis=0)
     if not all_finite(logits):
         raise NonFiniteError("attention_readout: a gate pre-activation contains NaN or Inf")
     gates = 0.5 * (1.0 + np.tanh(0.5 * logits))
-    out = Tensor(member @ (gates * ed))
+    out = Tensor(np.add.reduceat(gates * ed, starts, axis=0))
 
     def rule(g: np.ndarray) -> None:
-        d_ge = member.T @ g
+        d_ge = np.repeat(g, lengths, axis=0)
         d_logits = (d_ge * ed).sum(axis=1, keepdims=True) * gates * (1.0 - gates)
-        d_e_w2 = to_last.T @ d_logits
+        d_anchor = np.add.reduceat(d_logits, starts, axis=0)
         _accumulate(w1, ed.T @ d_logits)
-        _accumulate(w2, ed.T @ d_e_w2)
-        _accumulate(e, d_ge * gates + d_logits @ w1.data.T + d_e_w2 @ w2.data.T)
+        _accumulate(w2, ed[last_rows].T @ d_anchor)
+        d_e = d_ge * gates + d_logits @ w1.data.T
+        d_e[last_rows] += d_anchor @ w2.data.T
+        _accumulate(e, d_e)
 
     return _record(out, (e, w1, w2), rule), gates
 
 
-def standardized_readout(
-    e, b, w3, starts, member, spread, last_minus_mean, eps: float
-) -> tuple[Tensor, np.ndarray]:
+def standardized_readout(e, b, w3, starts, last_rows, eps: float) -> tuple[Tensor, np.ndarray]:
     """Node rows ``e`` (n × m) weighted by ``b`` (length n), standardized
     per segment and read out as one row per segment:
 
         x_i = b_i e_i,   y_i = (x_i + x_l − mean_j x_j) / (s + eps),
-        β_i = y_i·w3,    out = member·(β ⊙ e)
+        β_i = y_i·w3,    out_r = Σ_{i in r} β_i e_i
 
-    where l is the segment's anchor row, the mean is over the segment's
+    where segment r runs from ``starts[r]`` to the next start (the last
+    to n), l = ``last_rows[r]`` is its anchor row, the mean is over its
     rows and s is the population std of its weights (:func:`segment_std`).
-    Segment r runs from ``starts[r]`` to the next start; ``member`` sums
-    each segment's rows, ``spread`` (n × segments) copies a segment's row
-    to each of its rows and ``last_minus_mean`` (segments × n) gives
-    x_l − mean_j x_j.  Returns the readout and the scores β, an n × 1
-    array that takes no gradient.
+    Returns the readout and the scores β, an n × 1 array that takes no
+    gradient.
 
-    One op for the thirteen that spell it (:func:`reshape`, :func:`mul`,
-    :func:`matmul`, :func:`segment_std`, :func:`add` and :func:`div`),
-    with the same NumPy calls in the same order, so its values are
-    bit-identical to theirs.  The std is checked for NaN and Inf, which
-    the division would turn into a finite 0.
+    One op for the thirteen (:func:`reshape`, :func:`mul`, :func:`matmul`,
+    :func:`segment_std`, :func:`add` and :func:`div`) that spell it with
+    0/1 segment matrices.  Its sums run in row order (``np.add.reduceat``),
+    so the scores, readout and gradients agree with that chain's to
+    rounding, within 1e-14 of their largest magnitude, not bit for bit.
+    The std is checked for NaN and Inf, which the division would turn into
+    a finite 0.
     """
     e, b, w3 = map(_as_tensor, (e, b, w3))
-    starts = np.asarray(starts, dtype=np.int64)
-    member, spread, last_minus_mean = (
-        np.asarray(x, dtype=np.float64) for x in (member, spread, last_minus_mean)
-    )
     if e.ndim != 2 or b.shape != e.shape[:1]:
         raise DimensionError(
             f"standardized_readout: expected (n, m) rows and n weights, got {e.shape} and {b.shape}"
         )
     n, m = e.shape
-    k = len(starts)
-    if member.shape != (k, n) or spread.shape != (n, k) or last_minus_mean.shape != (k, n):
-        raise DimensionError(
-            f"standardized_readout: segment matrices do not match {k} segments over {n} rows"
-        )
+    starts, last_rows, lengths = _segment_layout("standardized_readout", starts, last_rows, n)
     if w3.shape != (m, 1):
         raise DimensionError(f"standardized_readout: weights do not fit {m}-wide rows")
     ed, bd = e.data, b.data
     b_col = bd.reshape(n, 1)
     scaled = b_col * ed
-    shift = last_minus_mean @ scaled
-    lengths, dev, s = _segment_std(bd, starts)
+    shift = scaled[last_rows] - np.add.reduceat(scaled, starts, axis=0) / lengths[:, None]
+    dev, s = _segment_std(bd, starts, lengths)
     if not all_finite(s):
         raise NonFiniteError("standardized_readout: a weight std contains NaN or Inf")
-    num = scaled + spread @ shift
-    den = spread @ (s + eps).reshape(k, 1)
+    num = scaled + np.repeat(shift, lengths, axis=0)
+    den = np.repeat((s + eps)[:, None], lengths, axis=0)
     standardized = num / den
     scores = standardized @ w3.data
-    out = Tensor(member @ (scores * ed))
+    out = Tensor(np.add.reduceat(scores * ed, starts, axis=0))
 
     def rule(g: np.ndarray) -> None:
-        d_se = member.T @ g
+        d_se = np.repeat(g, lengths, axis=0)
         d_scores = (d_se * ed).sum(axis=1, keepdims=True)
         _accumulate(w3, standardized.T @ d_scores)
         d_num = (d_scores @ w3.data.T) / den
-        d_den = -(d_num * standardized).sum(axis=1, keepdims=True)
-        d_scaled = d_num + last_minus_mean.T @ (member @ d_num)
-        d_s = (member @ d_den)[:, 0]
+        d_den = -(d_num * standardized).sum(axis=1)
+        d_shift = np.add.reduceat(d_num, starts, axis=0)
+        d_scaled = d_num - np.repeat(d_shift / lengths[:, None], lengths, axis=0)
+        d_scaled[last_rows] += d_shift
+        d_s = np.add.reduceat(d_den, starts)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(s > 0.0, d_s / (lengths * s), 0.0)
         _accumulate(b, (d_scaled * ed).sum(axis=1) + dev * np.repeat(scale, lengths))
@@ -988,12 +976,11 @@ def segment_std(t, starts) -> Tensor:
     last to the end.  The :func:`reduce_std` rule per segment, flat where
     a segment is constant."""
     t = _as_tensor(t)
+    if t.ndim != 1:
+        raise DimensionError(f"segment_std: expected a 1-d tensor, got {t.shape}")
     starts = np.asarray(starts, dtype=np.int64)
-    if t.ndim != 1 or starts.ndim != 1 or not starts.size:
-        raise DimensionError(
-            f"segment_std: expected a 1-d tensor and 1-d starts, got {t.shape} and {starts.shape}"
-        )
-    lengths, dev, s = _segment_std(t.data, starts)
+    lengths = _segment_lengths("segment_std", starts, t.size, DomainError)
+    dev, s = _segment_std(t.data, starts, lengths)
     out = Tensor(s)
 
     def rule(g: np.ndarray) -> None:
@@ -1005,15 +992,35 @@ def segment_std(t, starts) -> Tensor:
     return _record(out, (t,), rule)
 
 
-def _segment_std(x: np.ndarray, starts: np.ndarray):
-    """Each segment's length, each entry's deviation from its segment's
-    mean, and each segment's population std."""
-    lengths = np.diff(starts, append=x.size)
+def _segment_lengths(op: str, starts: np.ndarray, n: int, error: type) -> np.ndarray:
+    """Each segment's length, segment r running from ``starts[r]`` to the
+    next start and the last to n; ``error`` unless they cover the n rows."""
+    if starts.ndim != 1 or not starts.size:
+        raise DimensionError(f"{op}: expected 1-d segment starts, got shape {starts.shape}")
+    lengths = np.diff(starts, append=n)
     if starts[0] != 0 or lengths.min() < 1:
-        raise DomainError("segment_std: segments must start at 0 and be non-empty")
+        raise error(f"{op}: segments must start at 0 and be non-empty over {n} rows")
+    return lengths
+
+
+def _segment_layout(op: str, starts, last_rows, n: int):
+    """``starts`` and ``last_rows`` as integer arrays checked against n
+    rows, with each segment's length."""
+    starts, last_rows = (np.asarray(x, dtype=np.int64) for x in (starts, last_rows))
+    lengths = _segment_lengths(op, starts, n, DimensionError)
+    if last_rows.shape != starts.shape or (
+        (last_rows < starts) | (last_rows >= starts + lengths)
+    ).any():
+        raise DimensionError(f"{op}: need one last row inside each segment")
+    return starts, last_rows, lengths
+
+
+def _segment_std(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Each entry's deviation from its segment's mean, and each segment's
+    population std."""
     m = np.add.reduceat(x, starts) / lengths
     dev = x - np.repeat(m, lengths)
-    return lengths, dev, np.sqrt(np.add.reduceat(dev * dev, starts) / lengths)
+    return dev, np.sqrt(np.add.reduceat(dev * dev, starts) / lengths)
 
 
 def masked_cross_entropy(logits, mask, targets) -> Tensor:

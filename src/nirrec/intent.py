@@ -26,15 +26,16 @@ session's own rows, each session draws from its own stream, and every
 intent has one row per session.  A single session is a chunk of one
 (:func:`nirrec.model.forward` turns its row into a vector).
 
-Each step is one autodiff op with a hand-derived backward, bit-identical
-in value to the chain of elementary ops it replaces: the α branch is one
-:func:`nirrec.autodiff.attention_readout`, the Beta shapes one
+Each step is one autodiff op with a hand-derived backward: the α branch
+is one :func:`nirrec.autodiff.attention_readout`, the Beta shapes one
 :func:`nirrec.autodiff.beta_shapes`, the density one
 :func:`nirrec.autodiff.beta_density` before its floor, the β aggregation
 one :func:`nirrec.autodiff.standardized_readout` and the fusion one
-:func:`nirrec.autodiff.mix`.  They read the segments' constant 0/1
-arrays directly.  The gates and β scores come back as plain arrays
-beside the intents, for inspection; no gradient flows through them.
+:func:`nirrec.autodiff.mix`.  The readouts take ``segs.starts`` and
+``segs.last_rows`` and agree with the chains of elementary ops they
+replace within 1e-14 of the largest magnitude, the other steps bit for
+bit.  The gates and β scores come back as plain arrays beside the
+intents, for inspection; no gradient flows through them.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def alpha_intent(e: Tensor, segs: Segments, params: IntentParams) -> tuple[Tenso
     I_α with one row per session and the gates a column array with one row
     per node."""
     _check_rows(segs, e.shape[0])
-    return ad.attention_readout(e, params.w1, params.w2, segs.member, segs.to_last)
+    return ad.attention_readout(e, params.w1, params.w2, segs.starts, segs.last_rows)
 
 
 def beta_shape_params(v: Tensor, t: Tensor) -> Tensor:
@@ -164,9 +165,7 @@ def beta_intent(
     with one row per node.  Each session is standardized by its own mean
     and std."""
     _check_rows(segs, e.shape[0])
-    return ad.standardized_readout(
-        e, b, params.w3, segs.starts, segs.member, segs.spread, segs.last_minus_mean, STD_EPS
-    )
+    return ad.standardized_readout(e, b, params.w3, segs.starts, segs.last_rows, STD_EPS)
 
 
 def fuse(i_alpha: Tensor, i_beta: Tensor, lam: float) -> Tensor:

@@ -284,8 +284,9 @@ def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, Trai
 # batch in chunks of at most this many nodes together, each as one graph
 # (a session with more nodes is a chunk of its own).  A chunk's tape
 # holds about 35 ops whatever its size, so a chunk costs about what one
-# session did; its activations grow with its nodes, about 18 kB per node
-# at d = 64.  128 trained about 10% faster than 96, but raised the
+# session did; its activations grow with its nodes: a training chunk's
+# tape holds about 17 kB per node at d = 64 on long sessions, 29 kB on
+# short ones.  128 trained about 10% faster than 96, but raised the
 # peak RSS of perfbench's long-sessions workload by 5%, against 2% at 96,
 # when a node held about 40 kB (before the fused GGNN step).
 CHUNK_NODES = 96

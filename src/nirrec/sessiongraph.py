@@ -138,15 +138,12 @@ class Segments:
     """Which rows of a chunk's stacked node arrays belong to which session.
 
     Session r owns the contiguous rows ``starts[r]`` up to the next start
-    (the last session up to ``n``), and its most recent history item sits
-    in row ``last_rows[r]``.  Four constant 0/1 arrays move values
-    between sessions and rows as matrix products, which the intent ops of
-    :mod:`nirrec.autodiff` backpropagate as products too: ``member @ x``
-    sums each session's rows, ``spread @ y`` copies each session's row of
-    ``y`` to all of its rows, ``to_last @ x`` gives every row its
-    session's last row, and ``last_minus_mean @ x`` is each session's last
-    row minus its mean row.  Entries of other sessions are exact zeros, so
-    no session's value leaks into another's.
+    (the last session up to ``n``), ``lengths[r]`` of them, and its most
+    recent history item sits in row ``last_rows[r]``.  The intent ops of
+    :mod:`nirrec.autodiff` take ``starts`` and ``last_rows``: they sum each
+    session's rows with ``np.add.reduceat`` over ``starts`` and gather its
+    anchor row by ``last_rows``, so no session's value leaks into
+    another's, and nothing here grows with sessions × rows.
     """
 
     def __init__(self, starts: Sequence[int], last_rows: Sequence[int], n: int) -> None:
@@ -169,12 +166,6 @@ class Segments:
             raise DimensionError(
                 f"last_index {int(offset[r])} out of range for {int(self.lengths[r])} nodes"
             )
-        self.member = np.repeat(np.eye(len(self.starts)), self.lengths, axis=1)
-        self.spread = self.member.T.copy()
-        last = np.zeros_like(self.member)
-        last[np.arange(len(self.starts)), self.last_rows] = 1.0
-        self.to_last = self.spread @ last
-        self.last_minus_mean = last - self.member / self.lengths[:, None]
 
     def __len__(self) -> int:
         return len(self.starts)

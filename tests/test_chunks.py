@@ -4,6 +4,8 @@ at a time.  Training gradients are compared with per-session tapes,
 evaluation rankings with chunks of one, and the union graph with its
 parts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nirrec.encoder import ggnn_forward, init_ggnn
 from nirrec.errors import DimensionError, TrainingError
 from nirrec.evaluate import evaluate
 from nirrec.ingest import EncodedSession, prepare
+from nirrec.intent import compute_intent, init_intent
 from nirrec.model import chunk_slices, init_params, session_loss, train
 from nirrec.sessiongraph import Segments, build_graph, union_graphs
 
@@ -105,17 +108,6 @@ class TestGraphUnion:
         np.testing.assert_array_equal(union.adj_out, want_out)
         np.testing.assert_array_equal(union.adj_in, want_in)
 
-    def test_segment_matrices(self):
-        segs = Segments([0, 3, 4], [2, 3, 4], 6)
-        np.testing.assert_array_equal(segs.member, [
-            [1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1],
-        ])
-        np.testing.assert_array_equal(segs.spread, segs.member.T)
-        np.testing.assert_array_equal(segs.to_last @ np.arange(6.0), [2, 2, 2, 3, 4, 4])
-        x = np.arange(12.0).reshape(6, 2)
-        want = np.stack([x[2] - x[:3].mean(0), x[3] - x[3], x[4] - x[4:].mean(0)])
-        np.testing.assert_allclose(segs.last_minus_mean @ x, want, rtol=0, atol=1e-14)
-
     def test_invalid_segments_rejected(self):
         for starts, last in (([1], [1]), ([0, 0], [0, 0]), ([0, 4], [0, 4])):
             with pytest.raises(DimensionError):
@@ -133,6 +125,34 @@ class TestGraphUnion:
         for g, lo in zip(graphs, union.segments.starts):
             alone = ggnn_forward(g.adj_out, g.adj_in, Tensor(v0[lo : lo + g.n]), params).data
             np.testing.assert_allclose(got[lo : lo + g.n], alone, rtol=1e-13, atol=1e-15)
+
+
+class TestChunkMemory:
+    def test_no_rows_by_rows_array(self):
+        """Segments plus the dual intent at λ = 0.5, forward and backward, on
+        a chunk of 500 four-node sessions: 2,000 rows of 2d = 32 columns,
+        0.5 MB per row array.  Its traced peak was 4.8 MB, and stays under
+        8 MB; one 2,000 × 2,000 float64 array alone takes 32 MB."""
+        d, sizes = 16, np.full(500, 4)
+        rng = np.random.default_rng(0)
+        starts = np.cumsum([0, *sizes[:-1]])
+        n = int(sizes.sum())
+        last_rows = starts + rng.integers(0, 4, size=len(sizes))
+        v = Tensor(rng.normal(0, 0.6, size=(n, d)), requires_grad=True)
+        t = Tensor(rng.normal(0, 0.6, size=(n, d)), requires_grad=True)
+        params = init_intent(d, Rng(0, "intent"))
+        tracemalloc.start()
+        try:
+            segs = Segments(starts, last_rows, n)
+            with ad.Tape() as tape:
+                result = compute_intent(v, t, segs, params, 0.5, beta_mode="mean")
+                tape.backward(ad.reduce_sum(result.i))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.i.shape == (500, 2 * d)
+        assert v.grad is not None and t.grad is not None
+        assert peak < 8e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestChunkGradients:

@@ -2,9 +2,11 @@
 `log_beta_density`, the taxonomy embedding's `path_embedding` and the dual
 intent's `attention_readout`, `beta_shapes`, `beta_density`,
 `standardized_readout` and `mix`.  Straight-line copies of those chains are
-kept here as references, matched in value bit for bit and in gradient within
-1e-12, and the ops are checked against central finite differences.  The last
-class bounds the ops and tensors that the request path builds."""
+kept here as references, matched in value bit for bit (the two readouts,
+which sum in row order where their chains multiply by 0/1 matrices, within
+1e-14 of the largest magnitude) and in gradient within 1e-12, and the ops
+are checked against central finite differences.  The last class bounds the
+ops and tensors that the request path builds."""
 
 from dataclasses import replace
 
@@ -360,12 +362,28 @@ class TestPathEmbedding:
             ad.path_embedding(tables, np.array([[1, 1, 1]]), enc.w_tax.data[1:], enc.b_tax)
 
 
+def segment_matrices(starts, last_rows, n):
+    """The constant 0/1 arrays that the chain moves values between sessions
+    and rows with, for sessions starting at ``starts`` over n rows and
+    anchored on ``last_rows``: ``member @ x`` sums each session's rows,
+    ``spread @ y`` copies each session's row to all of its rows,
+    ``to_last @ x`` gives every row its session's last row and
+    ``last_minus_mean @ x`` is each session's last row minus its mean
+    row."""
+    lengths = np.diff(starts, append=n)
+    member = np.repeat(np.eye(len(starts)), lengths, axis=1)
+    spread = member.T.copy()
+    last = np.zeros_like(member)
+    last[np.arange(len(starts)), last_rows] = 1.0
+    return member, spread, spread @ last, last - member / lengths[:, None]
+
+
 def intent_chain(v, t, segs, params, lam, rngs=None, mode="sample", draws=None):
     """The dual intent spelled as the 33 ops it was before the fused ops
     (with the fused log-density): returns (I, gates, b, scores), None for
     a skipped branch's."""
     member, spread, to_last, last_minus_mean = (
-        Tensor(m) for m in (segs.member, segs.spread, segs.to_last, segs.last_minus_mean)
+        Tensor(m) for m in segment_matrices(segs.starts, segs.last_rows, segs.n)
     )
     e = ad.concat([v, t])
     i_alpha = gates = i_beta = b = scores = None
@@ -403,6 +421,7 @@ def intent_chain(v, t, segs, params, lam, rngs=None, mode="sample", draws=None):
 
 
 D = 4
+READOUT_REL = 1e-14
 INTENT_LEAVES = ("v", "t", "w1", "w2", "w3")
 
 
@@ -436,9 +455,10 @@ class TestIntentOps:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_op_chain(self, mode, lam, seed):
-        """The intent and the gates, weights and scores equal the chain's bit
-        for bit; gradients agree within 1e-12, and a skipped branch's
-        weights take none."""
+        """The gates and weights equal the chain's bit for bit, the intent
+        and the β scores within READOUT_REL of their largest magnitude;
+        gradients agree within 1e-12, and a skipped branch's weights take
+        none."""
         segs, v, t, params, draws = intent_case(seed)
         leaves = intent_leaves(v, t, params)
         weights = np.random.default_rng(seed + 10).normal(size=(len(segs), 2 * D))
@@ -453,7 +473,7 @@ class TestIntentOps:
 
         got, got_grads = grads_of(fused, leaves, weights)
         want, want_grads = grads_of(chain, leaves, weights)
-        np.testing.assert_array_equal(got.data, want.data)
+        assert_close_to(got.data, want.data, rel=READOUT_REL)
         for name, g, w in zip(INTENT_LEAVES, got_grads, want_grads):
             if w is None:
                 assert g is None, name
@@ -473,7 +493,7 @@ class TestIntentOps:
             v, t, segs, rng=streams(seed, len(segs)), mode=mode, draws=draws
         )
         np.testing.assert_array_equal(got_b.data, b.data)
-        np.testing.assert_array_equal(beta_intent(e, got_b, segs, params)[1], scores.data)
+        assert_close_to(beta_intent(e, got_b, segs, params)[1], scores.data, rel=READOUT_REL)
 
     def test_single_node_session_has_zero_std(self):
         """The chunk's single-node session standardizes by ε alone."""
@@ -537,9 +557,8 @@ class TestIntentOps:
         e = Tensor(np.ones((2, 2)))
         b = np.array([1e300, -1e300])
         segs = Segments([0], [1], 2)
-        args = (segs.starts, segs.member, segs.spread, segs.last_minus_mean, STD_EPS)
         with pytest.raises(NonFiniteError, match="std"):
-            ad.standardized_readout(e, b, np.ones((2, 1)), *args)
+            ad.standardized_readout(e, b, np.ones((2, 1)), segs.starts, segs.last_rows, STD_EPS)
 
     def test_beta_density_is_exp_of_log_density(self):
         a0, c0, x = beta_inputs(0)
@@ -564,18 +583,43 @@ class TestIntentOps:
         segs, v, t, params, _ = intent_case(0)
         e = ad.concat([v, t])
         with pytest.raises(DimensionError, match="weights"):
-            ad.attention_readout(e, params.w1.data[1:], params.w2, segs.member, segs.to_last)
-        with pytest.raises(DimensionError, match="segment matrices"):
-            ad.attention_readout(e, params.w1, params.w2, segs.member[:, 1:], segs.to_last)
+            ad.attention_readout(e, params.w1.data[1:], params.w2, segs.starts, segs.last_rows)
         with pytest.raises(DimensionError, match="weights"):
             ad.standardized_readout(
-                e, np.ones(segs.n), params.w3.data[1:], segs.starts, segs.member,
-                segs.spread, segs.last_minus_mean, STD_EPS,
+                e, np.ones(segs.n), params.w3.data[1:], segs.starts, segs.last_rows, STD_EPS
             )
         with pytest.raises(DimensionError):
             ad.beta_shapes(v, t.data[1:])
         with pytest.raises(DimensionError):
             ad.beta_density(np.ones((3, segs.n)), np.full(segs.n, 0.5))
+
+    @pytest.mark.parametrize("op", ["attention_readout", "standardized_readout"])
+    def test_row_layout_errors(self, op):
+        """Sessions of 3, 1, 4 and 2 rows, starting at rows 0, 3, 4 and 8 of
+        10: a last row outside its own session, starts that do not cover
+        the 10 rows, and a last row missing all raise DimensionError."""
+        segs, v, t, params, _ = intent_case(0)
+        e = ad.concat([v, t])
+        if op == "attention_readout":
+            def readout(starts, last_rows):
+                return ad.attention_readout(e, params.w1, params.w2, starts, last_rows)
+        else:
+            def readout(starts, last_rows):
+                return ad.standardized_readout(
+                    e, np.ones(segs.n), params.w3, starts, last_rows, STD_EPS
+                )
+        np.testing.assert_array_equal(segs.starts, [0, 3, 4, 8])
+        readout(segs.starts, segs.last_rows)
+        for last_rows in ([3, 3, 7, 8], [1, 3, 7, 10], [1, 3, 8, 8], [-1, 3, 7, 8]):
+            with pytest.raises(DimensionError, match="one last row inside each segment"):
+                readout(segs.starts, last_rows)
+        for starts in ([0, 3, 4, 10], [0, 3, 4, 12], [1, 3, 4, 8], [0, 4, 3, 8]):
+            with pytest.raises(DimensionError, match="non-empty over 10 rows"):
+                readout(starts, [1, 3, 7, 8])
+        with pytest.raises(DimensionError, match="one last row inside each segment"):
+            readout(segs.starts, [1, 3, 7])
+        with pytest.raises(DimensionError, match="segment starts"):
+            readout([], [])
 
 
 class TestRequestPathSize:

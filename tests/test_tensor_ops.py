@@ -5,6 +5,7 @@ random inputs; tape behavior is verified against hand-expanded chains.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -532,6 +533,16 @@ class TestErrorSurfaces:
         with np.errstate(over="ignore"):
             t = ad.Tensor(good)
         np.testing.assert_array_equal(t.data, good)
+
+    def test_finiteness_check_raises_no_numpy_warning(self):
+        """Every warning an error and no errstate: a finite tensor whose sum
+        overflows is built, and one whose sum is NaN is rejected, with no
+        RuntimeWarning from the check itself."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(ad.Tensor([1e308, 1e308]).data, [1e308, 1e308])
+            with pytest.raises(NonFiniteError):
+                ad.Tensor([np.inf, -np.inf])
 
     def test_matmul_shape_error_names_both_shapes(self):
         """The dimension error message carries both operand shapes."""
