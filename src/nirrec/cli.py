@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .errors import (
@@ -31,6 +32,7 @@ from .errors import (
     TrainingError,
 )
 from .evaluate import (
+    EvalOptions,
     evaluate,
     evaluate_sampled,
     write_metrics_json,
@@ -38,20 +40,11 @@ from .evaluate import (
     write_rankings_csv,
 )
 from .ingest import PrepareOptions, load_shards, prepare, save_shards
-from .model import (
-    ABLATIONS,
-    CANDIDATE_MODES,
-    TrainConfig,
-    apply_ablation,
-    config_key,
-    load_params,
-    train,
-)
+from .model import ABLATIONS, TrainConfig, apply_ablation, config_key, load_params, train
 
 log = logging.getLogger("nirrec")
 
 DEFAULT_SWEEP_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
-EVAL_MODES = ("mean", "sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -67,42 +60,24 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_ks(raw: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(part) for part in str(raw).split(",") if part.strip())
-    except ValueError as e:
-        raise ConfigurationError(f"bad k list {raw!r}") from e
-    if not ks:
-        raise ConfigurationError("k list is empty")
-    return ks
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
-def _parse_levels(raw: str) -> tuple[int, int, int]:
-    parts = [p for p in str(raw).split(",") if p.strip()]
-    if len(parts) != 3:
-        raise ConfigurationError(f"levels must be three integers k1,k2,k3, got {raw!r}")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
-
-
-# The TrainConfig fields are the training schema: each one is a config-file
-# key (its ``config_key``) and a command-line flag, converted by the type of
-# its default.  ``seed`` is the shared --seed flag instead.
-TRAIN_FIELDS = tuple(f for f in fields(TrainConfig) if f.name != "seed")
-_CONVERTERS = {int: int, float: float, str: str, bool: _parse_bool, tuple: _parse_ks}
-TRAIN_KEYS = {config_key(f.name): _CONVERTERS[type(f.default)] for f in TRAIN_FIELDS}
-PREPARE_KEYS = {
-    "levels": _parse_levels,
-    "attr_mode": str,
-    "vectors_path": str,
-    "boundary_days": float,
-    "label_vector_dim": int,
+# Each stage's dataclass declares its options.  Every field but ``seed`` is
+# a config-file key (its ``config_key``) and a command-line flag, converted
+# by the type of its default (a None default takes a path); ``seed`` is the
+# shared --seed flag instead.  Value checks live in each __post_init__.
+STAGES = (TrainConfig, PrepareOptions, EvalOptions)
+OPTIONS = {cls: tuple(f for f in fields(cls) if f.name != "seed") for cls in STAGES}
+# The flags not spelled after their config key.
+FLAGS = {"eval_ks": "--k", "vectors_path": "--vectors"}
+_CONVERTERS = {
+    int: int, float: float, str: str, type(None): str, bool: _parse_bool, tuple: _parse_ints,
 }
-EVAL_KEYS = {
-    "eval_mode": str,
-    "repeats": int,
-    "strict_precision": _parse_bool,
+ALL_KEYS = {
+    config_key(f.name): _CONVERTERS[type(f.default)] for cls in STAGES for f in OPTIONS[cls]
 }
-ALL_KEYS = {**TRAIN_KEYS, **PREPARE_KEYS, **EVAL_KEYS}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -132,23 +107,28 @@ def _convert(key: str, raw: str):
         raise ConfigurationError(f"config key {key!r} has a malformed value {raw!r}: {e}") from e
 
 
-def _layered(key: str, flag_value, file_cfg: dict[str, str], default):
-    """flag > file > default, with type conversion for file values."""
-    if flag_value is not None:
-        return flag_value
-    if key in file_cfg:
-        return _convert(key, file_cfg[key])
-    return default
+def build_options(cls, args: argparse.Namespace, file_cfg: dict[str, str], base=None):
+    """``cls`` with each field taken flag > file > ``base`` (default: the
+    field's default); ``seed`` comes from the shared --seed flag."""
+    values = {}
+    for f in fields(cls):
+        flag, key = getattr(args, f.name, None), config_key(f.name)
+        if flag is not None:
+            values[f.name] = flag
+        elif key in file_cfg:
+            values[f.name] = _convert(key, file_cfg[key])
+    return cls(**values) if base is None else replace(base, **values)
 
 
-def build_train_config(args: argparse.Namespace, file_cfg: dict[str, str]) -> TrainConfig:
-    return TrainConfig(
-        seed=args.seed,
-        **{
-            f.name: _layered(config_key(f.name), getattr(args, f.name), file_cfg, f.default)
-            for f in TRAIN_FIELDS
-        },
-    )
+def as_config(*options) -> dict:
+    """A manifest's config: every field of each options object under its
+    config key, tuples as lists."""
+    out = {}
+    for opts in options:
+        for f in fields(opts):
+            value = getattr(opts, f.name)
+            out[config_key(f.name)] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +186,13 @@ def write_manifest(
 # commands
 
 
+def _file_config(args: argparse.Namespace) -> dict[str, str]:
+    return parse_config_file(args.config) if args.config else {}
+
+
 def cmd_prepare(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    opts = PrepareOptions(
-        level_sizes=_layered("levels", args.levels, file_cfg, PrepareOptions().level_sizes),
-        attr_mode=_layered("attr_mode", args.attr_mode, file_cfg, "trainable"),
-        vectors_path=_layered("vectors_path", args.vectors, file_cfg, None),
-        boundary_days=_layered("boundary_days", args.boundary_days, file_cfg, 7.0),
-        label_vector_dim=_layered("label_vector_dim", None, file_cfg, 16),
-        seed=args.seed,
-    )
+    opts = build_options(PrepareOptions, args, _file_config(args))
     out = Path(args.out)
     log.info("preparing %s + %s -> %s", args.sessions, args.catalog, out)
     data = prepare(args.sessions, args.catalog, opts)
@@ -227,16 +203,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     print("Test sessions    %d" % stats["test_sessions"])
     print("Average length   %.4g" % stats["avg_length"])
     write_manifest(
-        out,
-        "prepare",
-        args.seed,
-        {
-            "levels": list(opts.level_sizes),
-            "attr_mode": opts.attr_mode,
-            "vectors_path": opts.vectors_path,
-            "boundary_days": opts.boundary_days,
-            "label_vector_dim": opts.label_vector_dim,
-        },
+        out, "prepare", args.seed, as_config(opts),
         [Path(args.sessions), Path(args.catalog)],
         [out / "shard.bin", out / "index.json"],
         time.perf_counter() - started,
@@ -259,14 +226,13 @@ def _train_once(shards: Path, cfg: TrainConfig, out: Path) -> tuple[Path, Path]:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    cfg = apply_ablation(build_train_config(args, file_cfg), args.ablate)
+    cfg = build_options(TrainConfig, args, _file_config(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log.info("training on %s (lambda=%g gamma=%g)", args.shards, cfg.lambda_, cfg.gamma)
     ckpt, log_path = _train_once(Path(args.shards), cfg, out)
     write_manifest(
-        out, "train", args.seed, cfg.to_dict(),
+        out, "train", args.seed, as_config(cfg),
         [Path(args.shards)], [ckpt, log_path],
         time.perf_counter() - started,
     )
@@ -275,27 +241,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _evaluate_once(
-    shards: Path, ckpt: Path, out: Path, seed: int, file_cfg: dict[str, str] | None = None,
-    ks: tuple[int, ...] | None = None, eval_mode: str = "mean", repeats: int = 1,
-    strict: bool = False,
+    shards: Path, ckpt: Path, out: Path, ev: EvalOptions,
+    configure: Callable[[TrainConfig], TrainConfig] = lambda stored: stored,
 ):
-    """Score a checkpoint under the config it carries.  Keys of ``file_cfg``
-    must agree with that config, except eval_ks, which evaluation sets."""
+    """Score a checkpoint under ``ev`` and the config it carries, as
+    ``configure`` adjusts it."""
     data = load_shards(shards)
     params, stored = load_params(ckpt, data)
-    file_cfg = file_cfg or {}
-    stored_values = stored.to_dict()
-    for key, raw in file_cfg.items():
-        if key in TRAIN_KEYS and key != "eval_ks" and _convert(key, raw) != stored_values[key]:
-            raise EvaluationError(
-                f"config key {key!r} = {raw} disagrees with the checkpoint's "
-                f"{key} = {stored_values[key]}"
-            )
-    cfg = replace(stored, seed=seed, eval_ks=_layered("eval_ks", ks, file_cfg, stored.eval_ks))
-    if eval_mode == "sampled":
-        report = evaluate_sampled(params, data, cfg, repeats=repeats, strict_precision=strict)
+    cfg = configure(stored)
+    if ev.eval_mode == "sampled":
+        report = evaluate_sampled(
+            params, data, cfg, repeats=ev.repeats, strict_precision=ev.strict_precision
+        )
     else:
-        report = evaluate(params, data, cfg, strict_precision=strict)
+        report = evaluate(params, data, cfg, strict_precision=ev.strict_precision)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.json"
     rankings_path = out / "rankings.csv"
@@ -313,23 +272,29 @@ def _print_metrics(report) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    eval_mode = _layered("eval_mode", args.eval_mode, file_cfg, "mean")
-    if eval_mode not in EVAL_MODES:
-        modes = " or ".join(EVAL_MODES)
-        raise ConfigurationError(f"eval_mode must be {modes}, got {eval_mode!r}")
-    repeats = _layered("repeats", args.repeats, file_cfg, 5)
-    strict = _layered("strict_precision", args.strict_precision or None, file_cfg, False)
+    file_cfg = _file_config(args)
+    ev = build_options(EvalOptions, args, file_cfg)
+
+    def configure(stored: TrainConfig) -> TrainConfig:
+        """--seed, and --k or the file's eval_ks, on the stored config; every
+        other training key in the file must agree with it."""
+        cfg = build_options(TrainConfig, args, file_cfg, base=stored)
+        have = as_config(stored)
+        for key, value in as_config(cfg).items():
+            if key not in ("seed", "eval_ks") and value != have[key]:
+                raise EvaluationError(
+                    f"config key {key!r} = {file_cfg[key]} disagrees with the checkpoint's "
+                    f"{key} = {have[key]}"
+                )
+        return cfg
+
     out = Path(args.out)
     cfg, report, metrics_path, rankings_path = _evaluate_once(
-        Path(args.shards), Path(args.checkpoint), out, args.seed, file_cfg, args.eval_ks,
-        eval_mode, repeats, strict,
+        Path(args.shards), Path(args.checkpoint), out, ev, configure
     )
     _print_metrics(report)
     write_manifest(
-        out, "eval", args.seed,
-        {**cfg.to_dict(), "eval_mode": eval_mode, "repeats": repeats,
-         "strict_precision": strict},
+        out, "eval", args.seed, as_config(cfg, ev),
         [Path(args.shards), Path(args.checkpoint)],
         [metrics_path, rankings_path],
         time.perf_counter() - started,
@@ -339,19 +304,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    cfg = apply_ablation(build_train_config(args, file_cfg), args.which)
+    file_cfg = _file_config(args)
+    cfg = apply_ablation(build_options(TrainConfig, args, file_cfg), args.which)
+    ev = build_options(EvalOptions, args, file_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log.info("ablation %s on %s", args.which, args.shards)
     ckpt, log_path = _train_once(Path(args.shards), cfg, out)
-    _, report, metrics_path, rankings_path = _evaluate_once(
-        Path(args.shards), ckpt, out, args.seed
-    )
+    _, report, metrics_path, rankings_path = _evaluate_once(Path(args.shards), ckpt, out, ev)
     print(f"ablation {args.which}:")
     _print_metrics(report)
     write_manifest(
-        out, "ablate", args.seed, {**cfg.to_dict(), "ablation": args.which},
+        out, "ablate", args.seed, {**as_config(cfg, ev), "ablation": args.which},
         [Path(args.shards)], [ckpt, log_path, metrics_path, rankings_path],
         time.perf_counter() - started,
     )
@@ -360,8 +324,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    base_cfg = build_train_config(args, file_cfg)
+    file_cfg = _file_config(args)
+    base_cfg = build_options(TrainConfig, args, file_cfg)
+    ev = build_options(EvalOptions, args, file_cfg)
     if args.values:
         try:
             values = tuple(float(v) for v in args.values.split(",") if v.strip())
@@ -384,7 +349,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             ckpt, _ = _train_once(Path(args.shards), cfg, run_dir)
             _, report, _, _ = _evaluate_once(
-                Path(args.shards), ckpt, run_dir, args.seed, ks=tuple(sorted({*cfg.eval_ks, 20}))
+                Path(args.shards), ckpt, run_dir, ev,
+                lambda stored: replace(stored, eval_ks=tuple(sorted({*stored.eval_ks, 20}))),
             )
             p20 = report.p[20]
             rows.append({"value": value, "p_at_20": p20, "status": "ok"})
@@ -397,7 +363,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     write_plotdata_csv(plot_path, args.param, rows)
     write_manifest(
         out, "sweep", args.seed,
-        {**base_cfg.to_dict(), "param": args.param, "values": list(values)},
+        {**as_config(base_cfg, ev), "param": args.param, "values": list(values)},
         [Path(args.shards)], [plot_path],
         time.perf_counter() - started,
     )
@@ -417,17 +383,17 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    for f in TRAIN_FIELDS:
+def _add_flags(parser: argparse.ArgumentParser, cls, only: tuple[str, ...] = ()) -> None:
+    """One flag per option field of ``cls`` (or of the fields in ``only``)."""
+    for f in OPTIONS[cls]:
+        if only and f.name not in only:
+            continue
         key = config_key(f.name)
-        flag = "--k" if key == "eval_ks" else "--" + key.replace("_", "-")
+        flag = FLAGS.get(f.name, "--" + key.replace("_", "-"))
         if type(f.default) is bool:
             parser.add_argument(flag, dest=f.name, action="store_true", default=None)
         else:
-            parser.add_argument(
-                flag, dest=f.name, type=TRAIN_KEYS[key],
-                choices=CANDIDATE_MODES if key == "candidate_mode" else None,
-            )
+            parser.add_argument(flag, dest=f.name, type=ALL_KEYS[key])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -448,34 +414,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="ingest sessions + catalog into shards")
     p.add_argument("sessions")
     p.add_argument("catalog")
-    p.add_argument("--levels", type=_parse_levels, help="taxonomy cluster sizes k1,k2,k3")
-    p.add_argument("--attr-mode", dest="attr_mode", choices=("trainable", "pretrained"))
-    p.add_argument("--vectors", help="pretrained token vector file")
-    p.add_argument("--boundary-days", dest="boundary_days", type=float)
+    _add_flags(p, PrepareOptions)
     _add_shared(p)
     p.set_defaults(func=cmd_prepare)
 
     t = sub.add_parser("train", help="train a model on prepared shards")
     t.add_argument("shards")
-    t.add_argument("--ablate", choices=ABLATIONS)
-    _add_train_flags(t)
+    _add_flags(t, TrainConfig)
     _add_shared(t)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("shards")
     e.add_argument("checkpoint")
-    e.add_argument("--eval-mode", dest="eval_mode", choices=EVAL_MODES)
-    e.add_argument("--repeats", type=int)
-    e.add_argument("--strict-precision", dest="strict_precision", action="store_true")
-    e.add_argument("--k", dest="eval_ks", type=_parse_ks, help="comma-separated cutoffs")
+    _add_flags(e, EvalOptions)
+    _add_flags(e, TrainConfig, only=("eval_ks",))
     _add_shared(e)
     e.set_defaults(func=cmd_eval)
 
     a = sub.add_parser("ablate", help="train + evaluate one ablation")
     a.add_argument("shards")
     a.add_argument("--which", required=True, choices=ABLATIONS)
-    _add_train_flags(a)
+    _add_flags(a, TrainConfig)
+    _add_flags(a, EvalOptions)
     _add_shared(a)
     a.set_defaults(func=cmd_ablate)
 
@@ -483,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("shards")
     s.add_argument("--param", required=True, choices=("lambda", "gamma"))
     s.add_argument("--values", help="comma-separated values (default 0.1,0.3,0.5,0.7,0.9)")
-    _add_train_flags(s)
+    _add_flags(s, TrainConfig)
+    _add_flags(s, EvalOptions)
     _add_shared(s)
     s.set_defaults(func=cmd_sweep)
     return parser

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .autodiff import Rng, Tensor
-from .errors import DomainError, EvaluationError
+from .errors import ConfigurationError, DomainError, EvaluationError
 from .ingest import EncodedSession, PreparedData
 from .model import (
     ModelParams,
@@ -34,11 +34,28 @@ from .model import (
 
 
 SKIP_REASONS = ("no_candidates", "gt_not_candidate")
+EVAL_MODES = ("mean", "sampled")
 
 # Catalog rows θ maps per call when it builds the catalog index: a block's
 # temporaries (its attribute rows and θ's hidden layer) stay within L2
 # instead of spilling the whole catalog's to memory.
 CATALOG_BLOCK_ROWS = 384
+
+
+@dataclass
+class EvalOptions:
+    """How a checkpoint is scored: ``mean`` ranks once under the Beta-mean
+    attention (:func:`evaluate`), ``sampled`` averages ``repeats``
+    sampled-attention runs (:func:`evaluate_sampled`), and
+    ``strict_precision`` reads P@k as hits/k instead of the hit rate."""
+
+    eval_mode: str = "mean"
+    repeats: int = 5
+    strict_precision: bool = False
+
+    def __post_init__(self) -> None:
+        if self.eval_mode not in EVAL_MODES:
+            raise ConfigurationError(f"eval_mode must be mean or sampled, got {self.eval_mode!r}")
 
 
 @dataclass

@@ -23,6 +23,7 @@ over the same inputs reproduces identical shard bytes.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -233,12 +234,11 @@ def build_taxonomy_tree(
     Stage 1 clusters label vectors into k1 fine groups (level 3 nodes);
     stage 2 clusters those centroids into k2 (level 2); stage 3 into k3
     (level 1).  An item follows the chain of the fine cluster holding the
-    majority of its labels (ties to the lowest cluster id).  Oversized k's
-    are clamped to the available group count, with warning counters.
+    majority of its labels (ties to the lowest cluster id).  The sizes
+    satisfy k1 > k2 > k3 >= 1, as :class:`PrepareOptions` checks; oversized
+    k's are clamped to the available group count, with warning counters.
     """
     k1, k2, k3 = (int(k) for k in level_sizes)
-    if not (k1 > k2 > k3 >= 1):
-        raise ConfigurationError(f"level sizes must satisfy k1 > k2 > k3 >= 1, got {level_sizes}")
     labels = sorted({lab for labs in flat_labels.values() for lab in labs})
     if not labels:
         raise ConfigurationError("no labels to cluster")
@@ -434,12 +434,33 @@ def encode_attributes(
 
 @dataclass
 class PrepareOptions:
-    level_sizes: tuple[int, int, int] = (100, 50, 10)
+    """``levels`` are the taxonomy cluster sizes k1, k2, k3 for flat-label
+    catalogs, ``boundary_days`` the test holdout of :func:`time_split`, and
+    ``label_vector_dim`` the width of synthesized label vectors."""
+
+    levels: tuple[int, int, int] = (100, 50, 10)
     attr_mode: str = "trainable"
     vectors_path: str | None = None
     boundary_days: float = 7.0
     seed: int = 0
     label_vector_dim: int = 16
+
+    def __post_init__(self) -> None:
+        k = tuple(self.levels)
+        if not (
+            len(k) == 3
+            and all(isinstance(n, (int, np.integer)) for n in k)
+            and k[0] > k[1] > k[2] >= 1
+        ):
+            raise ConfigurationError(
+                f"levels must be three integers k1 > k2 > k3 >= 1, got {self.levels}"
+            )
+        if not math.isfinite(self.boundary_days):
+            raise ConfigurationError(f"boundary_days must be finite, got {self.boundary_days}")
+        if self.label_vector_dim < 1:
+            raise ConfigurationError(
+                f"label_vector_dim must be positive, got {self.label_vector_dim}"
+            )
 
 
 @dataclass
@@ -547,7 +568,7 @@ def prepare(
         file_vectors = None if vector_file is None else vector_file[0]
         vectors = _synth_label_vectors(label_set, opts, file_vectors)
         clustered, clamp_warnings = build_taxonomy_tree(
-            flat_labels, vectors, opts.level_sizes, Rng(opts.seed, "taxonomy")
+            flat_labels, vectors, opts.levels, Rng(opts.seed, "taxonomy")
         )
         paths.update(clustered)
         counters.update(clamp_warnings)

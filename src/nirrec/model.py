@@ -125,7 +125,27 @@ class TrainConfig:
         unknown = sorted(set(raw) - {config_key(f.name) for f in fields(cls)})
         if unknown:
             raise ConfigurationError(f"unknown config keys {unknown}")
-        return cls(**{f.name: raw[config_key(f.name)] for f in fields(cls)})
+        values = {}
+        for f in fields(cls):
+            key = config_key(f.name)
+            if not _stands_for(raw[key], f.default):
+                raise ConfigurationError(
+                    f"config key {key!r} = {raw[key]!r} is not of its type, "
+                    f"{type(f.default).__name__}"
+                )
+            values[f.name] = raw[key]
+        return cls(**values)
+
+
+def _stands_for(value, default) -> bool:
+    """A stored value may stand for a field whose default is ``default``:
+    the same type, an int for a float, a list of ints for a tuple, and a
+    bool only for a bool."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+    if isinstance(default, float) and type(value) is int:
+        return True
+    return type(value) is type(default)
 
 
 def apply_ablation(cfg: TrainConfig, which: str | None) -> TrainConfig:
@@ -499,9 +519,7 @@ def session_loss(
     nodes = np.asarray(fwd.graph.nodes, dtype=np.int64)
     atr = ad.segment_mean(params.attr_table, *data.attr_matrix.gather(nodes))
     lz = l_zero(fwd.v, atr, params.theta)
-    loss = ad.add(
-        ad.mul(Tensor(cfg.gamma), ce), ad.mul(Tensor(1.0 - cfg.gamma), lz)
-    )
+    loss = ad.mix(ce, lz, cfg.gamma)
     return SessionLossParts(loss, float(ce.data), float(lz.data), clamped)
 
 

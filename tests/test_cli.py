@@ -16,8 +16,8 @@ from nirrec.autodiff import load_tensors, save_tensors
 from nirrec.cli import DEFAULT_SWEEP_VALUES, main, parse_config_file
 from nirrec.datagen import write_toy_dataset
 from nirrec.errors import ConfigurationError, EvaluationError, TrainingError
-from nirrec.evaluate import evaluate, write_rankings_csv
-from nirrec.ingest import load_shards
+from nirrec.evaluate import EvalOptions, evaluate, write_rankings_csv
+from nirrec.ingest import PrepareOptions, load_shards
 from nirrec.model import TrainConfig, load_params
 from nirrec.model import train as real_train
 
@@ -50,32 +50,53 @@ def checkpoint(tmp_path_factory, shards):
     return out / "checkpoint.bin"
 
 
-# Every TrainConfig field with its command-line flag, config-file key and a
-# value other than its default (as typed on the command line).
+# Every option field with its dataclass, command-line flag, config-file key
+# and a value other than its default (as typed on the command line).
 SCHEMA = {
-    "d": ("--d", "d", "8"),
-    "d_a": ("--d-a", "d_a", "5"),
-    "h": ("--h", "h", "7"),
-    "t_steps": ("--t-steps", "t_steps", "2"),
-    "lambda_": ("--lambda", "lambda", "0.25"),
-    "gamma": ("--gamma", "gamma", "0.75"),
-    "lr": ("--lr", "lr", "0.01"),
-    "epochs": ("--epochs", "epochs", "3"),
-    "batch_size": ("--batch-size", "batch_size", "4"),
-    "beta_seed": ("--beta-seed", "beta_seed", "6"),
-    "candidate_mode": ("--candidate-mode", "candidate_mode", "sampled"),
-    "negatives": ("--negatives", "negatives", "9"),
-    "eval_ks": ("--k", "eval_ks", "1,5"),
-    "propagate_taxonomy": ("--propagate-taxonomy", "propagate_taxonomy", "true"),
+    "d": (TrainConfig, "--d", "d", "8"),
+    "d_a": (TrainConfig, "--d-a", "d_a", "5"),
+    "h": (TrainConfig, "--h", "h", "7"),
+    "t_steps": (TrainConfig, "--t-steps", "t_steps", "2"),
+    "lambda_": (TrainConfig, "--lambda", "lambda", "0.25"),
+    "gamma": (TrainConfig, "--gamma", "gamma", "0.75"),
+    "lr": (TrainConfig, "--lr", "lr", "0.01"),
+    "epochs": (TrainConfig, "--epochs", "epochs", "3"),
+    "batch_size": (TrainConfig, "--batch-size", "batch_size", "4"),
+    "beta_seed": (TrainConfig, "--beta-seed", "beta_seed", "6"),
+    "candidate_mode": (TrainConfig, "--candidate-mode", "candidate_mode", "sampled"),
+    "negatives": (TrainConfig, "--negatives", "negatives", "9"),
+    "eval_ks": (TrainConfig, "--k", "eval_ks", "1,5"),
+    "propagate_taxonomy": (TrainConfig, "--propagate-taxonomy", "propagate_taxonomy", "true"),
+    "levels": (PrepareOptions, "--levels", "levels", "4,3,2"),
+    "attr_mode": (PrepareOptions, "--attr-mode", "attr_mode", "pretrained"),
+    "vectors_path": (PrepareOptions, "--vectors", "vectors_path", "unread.vec"),
+    "boundary_days": (PrepareOptions, "--boundary-days", "boundary_days", "6.5"),
+    "label_vector_dim": (PrepareOptions, "--label-vector-dim", "label_vector_dim", "4"),
+    "eval_mode": (EvalOptions, "--eval-mode", "eval_mode", "sampled"),
+    "repeats": (EvalOptions, "--repeats", "repeats", "2"),
+    "strict_precision": (EvalOptions, "--strict-precision", "strict_precision", "true"),
 }
+COMMAND_OF = {PrepareOptions: "prepare", TrainConfig: "train", EvalOptions: "eval"}
+
+
+def write_token_vectors(path, catalog):
+    """A pretrained vector file covering every attribute token of ``catalog``."""
+    tokens = sorted({
+        tok for line in Path(catalog).read_text().splitlines()
+        for tok in json.loads(line)["attributes"]
+    })
+    path.write_text("".join(f"{t} {i}.0 1.0\n" for i, t in enumerate(tokens)))
+    return path
 
 
 class TestTrainSchema:
-    """The TrainConfig fields drive the flags, the config keys and to_dict."""
+    """The fields of PrepareOptions, TrainConfig and EvalOptions drive the
+    flags, the config keys and each command's manifest."""
 
     def test_every_field_is_covered(self):
-        assert set(SCHEMA) == {f.name for f in fields(TrainConfig)} - {"seed"}
-        assert {key for _, key, _ in SCHEMA.values()} <= set(cli.ALL_KEYS)
+        declared = {(cls, f.name) for cls in COMMAND_OF for f in fields(cls) if f.name != "seed"}
+        assert {(cls, name) for name, (cls, *_) in SCHEMA.items()} == declared
+        assert {key for _, _, key, _ in SCHEMA.values()} == set(cli.ALL_KEYS)
 
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -84,22 +105,39 @@ class TestTrainSchema:
         assert listed == list(cli.ALL_KEYS)
 
     @pytest.mark.parametrize("name", sorted(SCHEMA))
-    def test_field_through_flag_file_and_round_trip(self, name, tmp_path):
-        flag, key, raw = SCHEMA[name]
-        parser = cli.build_parser()
-        base = ["train", "shards", "--out", str(tmp_path / "o"), "--seed", "2"]
+    def test_field_through_flag_file_and_round_trip(
+        self, name, tmp_path, corpus, shards, checkpoint
+    ):
+        cls, flag, key, raw = SCHEMA[name]
+        command = COMMAND_OF[cls]
+        # Flags each command is run with, unless the field under test is one.
+        fixed = {
+            "prepare": [*map(str, corpus), "--vectors",
+                        str(write_token_vectors(tmp_path / "tokens.vec", corpus[1]))],
+            "train": [str(shards), "--epochs", "1", "--d", "8"],
+            "eval": [str(shards), str(checkpoint)],
+        }[command]
+        if flag in fixed:
+            del fixed[fixed.index(flag):fixed.index(flag) + 2]
+        base = [command, *fixed, "--seed", "2", "--out", str(tmp_path / "parsed")]
         flag_argv = [flag] if raw == "true" else [flag, raw]
-        from_flag = cli.build_train_config(parser.parse_args(base + flag_argv), {})
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"{key} = {raw}\n")
-        from_file = cli.build_train_config(parser.parse_args(base), parse_config_file(cfg_file))
-        default = getattr(TrainConfig(), name)
-        assert getattr(from_flag, name) != default
-        assert getattr(from_flag, name) == getattr(from_file, name)
+        parser = cli.build_parser()
+        from_flag = cli.build_options(cls, parser.parse_args(base + flag_argv), {})
+        from_file = cli.build_options(cls, parser.parse_args(base), parse_config_file(cfg_file))
+        assert getattr(from_flag, name) != getattr(cls(), name)
         assert from_flag == from_file
-        assert from_flag.seed == 2
-        assert from_flag.to_dict()[key] == from_file.to_dict()[key]
-        assert TrainConfig.from_dict(from_flag.to_dict()) == from_flag
+        assert getattr(from_flag, "seed", 2) == 2
+        if cls is TrainConfig:
+            assert TrainConfig.from_dict(from_flag.to_dict()) == from_flag
+        recorded = []
+        for label, argv in (("flag", base + flag_argv), ("file", base + ["--config", str(cfg_file)])):
+            out = tmp_path / label
+            assert main(argv + ["--out", str(out)]) == 0
+            recorded.append(json.loads((out / "manifest.json").read_text())["config"][key])
+        assert recorded == [cli.as_config(from_flag)[key]] * 2
+        assert recorded[0] != cli.as_config(cls())[key]
 
 
 class TestConfigFile:
@@ -244,11 +282,43 @@ class TestExitCodes:
         ("train", ["--bogus"]),
         ("train", ["--d", "abc"]),
         ("prepare", ["--levels", "4,x,2"]),
+        ("train", ["--ablate", "no_beta"]),
     ])
     def test_usage_error_returns_one(self, corpus, shards, tmp_path, command, extra):
         """A malformed command line is not an ingestion error (2)."""
         inputs = {"prepare": [str(corpus[0]), str(corpus[1])], "train": [str(shards)]}[command]
         assert main([command, *inputs, *extra, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("line", [
+        "boundary_days = nan",
+        "boundary_days = inf",
+        "levels = 1,2,3",
+        "levels = 3,2",
+        "label_vector_dim = 0",
+        "label_vector_dim = -2",
+    ])
+    def test_bad_prepare_option_returns_one_and_names_it(
+        self, corpus, tmp_path, capsys, line
+    ):
+        """Checked before any input is read, for a catalog with explicit
+        taxonomies and for one with flat labels alike."""
+        sessions, catalog = corpus
+        labelled = tmp_path / "labelled.jsonl"
+        rows = [json.loads(row) for row in Path(catalog).read_text().splitlines()]
+        labelled.write_text("".join(
+            json.dumps({**r, "taxonomy": None, "labels": r["taxonomy"][1:]}) + "\n"
+            for r in rows
+        ))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        key = line.split(" = ")[0]
+        for cat in (catalog, labelled):
+            argv = ["prepare", str(sessions), str(cat), "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestManifests:
@@ -295,6 +365,26 @@ class TestManifests:
             assert len(found) == 1, command
             assert json.loads(found[0].read_text())["command"] == command
 
+    @pytest.mark.parametrize("command", ["ablate", "sweep"])
+    def test_training_commands_read_eval_keys(self, shards, tmp_path, command):
+        """ablate and sweep score their runs under the file's eval keys, as
+        eval does, and record them."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eval_mode = sampled\nrepeats = 2\nstrict_precision = true\n")
+        out = tmp_path / "o"
+        extra = {"ablate": ["--which", "no_beta"], "sweep": ["--param", "gamma", "--values", "0.5"]}
+        argv = [command, str(shards), *extra[command], "--epochs", "1", "--d", "16",
+                "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        run = out if command == "ablate" else out / "gamma_0.5"
+        metrics = json.loads((run / "metrics.json").read_text())
+        assert metrics["precision_convention"] == "strict"
+        assert "p_std" in metrics and "mrr_std" in metrics
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["eval_mode"], config["repeats"], config["strict_precision"]) == (
+            "sampled", 2, True
+        )
+
 
 class TestDeterminism:
     """Reruns over the same inputs and seed reproduce artifacts byte for byte."""
@@ -333,8 +423,8 @@ class TestDeterminism:
         base = ["--epochs", "2", "--d", "16", "--seed", "5"]
         argv_a = ["train", str(shards), "--out", str(tmp_path / "lam"),
                   "--lambda", "1.0", *base]
-        argv_b = ["train", str(shards), "--out", str(tmp_path / "abl"),
-                  "--ablate", "no_beta", *base]
+        argv_b = ["ablate", str(shards), "--out", str(tmp_path / "abl"),
+                  "--which", "no_beta", *base]
         assert main(argv_a) == 0
         assert main(argv_b) == 0
         assert sha(tmp_path / "lam" / "checkpoint.bin") == sha(tmp_path / "abl" / "checkpoint.bin")
@@ -522,6 +612,25 @@ class TestCheckpointConfig:
             load_params(extra, load_shards(shards))
         assert main(["eval", str(shards), str(extra), "--out", str(tmp_path / "e")]) == 4
         assert "'dropout'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", 8.5), ("d", "8"), ("t_steps", 1.5), ("propagate_taxonomy", "no"),
+        ("eval_ks", [1.7]), ("lr", True),
+    ])
+    def test_mistyped_config_value_returns_four_and_names_it(
+        self, shards, model_run, tmp_path, capsys, key, value
+    ):
+        raw = load_tensors(model_run)
+        config = json.loads(raw["meta.config"].astype(np.uint8).tobytes())
+        config[key] = value
+        blob = json.dumps(config, sort_keys=True).encode("utf-8")
+        raw["meta.config"] = np.frombuffer(blob, dtype=np.uint8).astype(np.float64)
+        bad = tmp_path / "bad.bin"
+        save_tensors(bad, raw)
+        with pytest.raises(ConfigurationError, match=repr(key)):
+            TrainConfig.from_dict(config)
+        assert main(["eval", str(shards), str(bad), "--out", str(tmp_path / "e")]) == 4
+        assert repr(key) in capsys.readouterr().err
 
     def test_same_size_vocabulary_with_renamed_item_returns_four(
         self, corpus, shards, model_run, tmp_path, capsys

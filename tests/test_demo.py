@@ -2,6 +2,7 @@
 and the CLI walkthrough leaves every command's manifest and a full sweep."""
 
 import csv
+import json
 import os
 import re
 import subprocess
@@ -42,6 +43,12 @@ def test_cli_walkthrough_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     (work,) = tmp_path.glob("nirrec-cli-*")
     assert len(list(work.rglob("manifest.json"))) == 5
+    # Every command read the one config file: ablate scored its run under
+    # the file's eval keys, as eval did.
+    for run in ("metrics", "ablate_no_beta"):
+        config = json.loads((work / run / "manifest.json").read_text())["config"]
+        assert (config["eval_mode"], config["repeats"], config["epochs"]) == ("sampled", 3, 15)
+        assert "p_std" in json.loads((work / run / "metrics.json").read_text())
     with (work / "sweep" / "plotdata.csv").open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["lambda", "p_at_20", "status"]

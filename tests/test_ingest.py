@@ -410,11 +410,6 @@ class TestBuildTaxonomyTree:
         assert warnings["k2_clamped"] == 2
         assert len(paths) == 2
 
-    def test_level_sizes_must_decrease(self):
-        vecs = self.vectors_for({"a", "b", "c"})
-        with pytest.raises(ConfigurationError, match="k1 > k2 > k3"):
-            build_taxonomy_tree({"i": ["a"]}, vecs, (3, 3, 1), Rng(0, "t"))
-
     def test_missing_label_vector_rejected(self):
         with pytest.raises(IngestionError, match="has no vector"):
             build_taxonomy_tree({"i": ["a"]}, {}, (3, 2, 1), Rng(0, "t"))
@@ -433,6 +428,26 @@ class TestBuildTaxonomyTree:
         file_vectors = {"steel": np.array([2.0, 0.0]), "bolt": np.array([0.0, 4.0])}
         out = _synth_label_vectors({"steel bolt"}, PrepareOptions(), file_vectors)
         np.testing.assert_allclose(out["steel bolt"], [1.0, 2.0])
+
+
+class TestPrepareOptions:
+    """Option values are checked when the options are built, before any
+    input is read, each error naming its key."""
+
+    def test_levels_must_decrease(self):
+        for levels in ((3, 3, 1), (1, 2, 3), (3, 2, 0), (3, 2), (3.5, 2, 1)):
+            with pytest.raises(ConfigurationError, match="levels .*k1 > k2 > k3"):
+                PrepareOptions(levels=levels)
+
+    @pytest.mark.parametrize("days", [float("nan"), float("inf"), float("-inf")])
+    def test_boundary_days_must_be_finite(self, days):
+        with pytest.raises(ConfigurationError, match="boundary_days"):
+            PrepareOptions(boundary_days=days)
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_label_vector_dim_must_be_positive(self, dim):
+        with pytest.raises(ConfigurationError, match="label_vector_dim"):
+            PrepareOptions(label_vector_dim=dim)
 
 
 class TestEncodeAttributes:
@@ -551,14 +566,14 @@ def toy_corpus(tmp_path, n_days=12):
 class TestPrepare:
     def test_vocab_sorted_with_unknown_first(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)
-        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        data = prepare(spath, cpath, PrepareOptions(levels=(3, 2, 1)))
         assert data.item_ids[0] == "<unk>"
         assert data.item_ids[1:] == sorted(data.item_ids[1:])
         assert data.n_items == 7
 
     def test_sessions_encoded_against_vocab(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)
-        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        data = prepare(spath, cpath, PrepareOptions(levels=(3, 2, 1)))
         idx = {item: i for i, item in enumerate(data.item_ids)}
         s1 = next(s for s in data.train if s.session_id == "s1")
         assert s1.history == [idx["apple"], idx["pear"]]
@@ -566,13 +581,13 @@ class TestPrepare:
 
     def test_split_respects_last_week(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)
-        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        data = prepare(spath, cpath, PrepareOptions(levels=(3, 2, 1)))
         assert {s.session_id for s in data.train} == {"s1", "s2", "s3"}
         assert {s.session_id for s in data.test} == {"s4", "s5"}
 
     def test_explicit_taxonomy_used_verbatim(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)
-        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        data = prepare(spath, cpath, PrepareOptions(levels=(3, 2, 1)))
         idx = {item: i for i, item in enumerate(data.item_ids)}
         t1, t2, t3 = data.tax_vocab
         apple = data.tax_paths[idx["apple"]]
@@ -582,7 +597,7 @@ class TestPrepare:
 
     def test_label_items_get_clustered_paths(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)
-        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        data = prepare(spath, cpath, PrepareOptions(levels=(3, 2, 1)))
         idx = {item: i for i, item in enumerate(data.item_ids)}
         bolt, nut = data.tax_paths[idx["bolt"]], data.tax_paths[idx["nut"]]
         np.testing.assert_array_equal(bolt, nut)  # same single label, same path
@@ -590,7 +605,7 @@ class TestPrepare:
 
     def test_stats_table(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)
-        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        data = prepare(spath, cpath, PrepareOptions(levels=(3, 2, 1)))
         assert data.stats["items"] == 6
         assert data.stats["train_sessions"] == 3
         assert data.stats["test_sessions"] == 2
@@ -602,11 +617,11 @@ class TestPrepare:
         rows = [json.loads(line) for line in spath.read_text().splitlines()]
         write_jsonl(spath, rows + [extra])
         with pytest.raises(IngestionError, match="mystery"):
-            prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+            prepare(spath, cpath, PrepareOptions(levels=(3, 2, 1)))
 
     def test_deterministic_across_runs(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)
-        opts = PrepareOptions(level_sizes=(3, 2, 1), seed=3)
+        opts = PrepareOptions(levels=(3, 2, 1), seed=3)
         d1 = prepare(spath, cpath, opts)
         d2 = prepare(spath, cpath, opts)
         np.testing.assert_array_equal(d1.tax_paths, d2.tax_paths)
@@ -618,7 +633,7 @@ class TestPrepare:
 class TestShardRoundTrip:
     def test_all_fields_survive(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)
-        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        data = prepare(spath, cpath, PrepareOptions(levels=(3, 2, 1)))
         out = tmp_path / "shards"
         save_shards(out, data)
         back = load_shards(out)
@@ -650,7 +665,7 @@ class TestShardRoundTrip:
         data = prepare(
             spath,
             cpath,
-            PrepareOptions(level_sizes=(3, 2, 1), attr_mode="pretrained", vectors_path=str(vf)),
+            PrepareOptions(levels=(3, 2, 1), attr_mode="pretrained", vectors_path=str(vf)),
         )
         out = tmp_path / "shards"
         save_shards(out, data)
@@ -671,7 +686,7 @@ class TestShardRoundTrip:
             "\n".join(f"{t} {i + 1}.0 {i + 2}.0" for i, t in enumerate(tokens)) + "\n",
             encoding="utf-8",
         )
-        opts = PrepareOptions(level_sizes=(3, 2, 1), attr_mode="pretrained", vectors_path=str(vf))
+        opts = PrepareOptions(levels=(3, 2, 1), attr_mode="pretrained", vectors_path=str(vf))
         real = ingest_mod.load_vector_file
         calls = []
 
@@ -698,7 +713,7 @@ class TestShardRoundTrip:
 
     def test_shard_bytes_deterministic(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)
-        opts = PrepareOptions(level_sizes=(3, 2, 1), seed=9)
+        opts = PrepareOptions(levels=(3, 2, 1), seed=9)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         save_shards(out1, prepare(spath, cpath, opts))
         save_shards(out2, prepare(spath, cpath, opts))
@@ -709,7 +724,7 @@ class TestShardRoundTrip:
         """The shard holds one column id per listed token and one offset per
         item, not a dense item×token matrix."""
         spath, cpath = toy_corpus(tmp_path)
-        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        data = prepare(spath, cpath, PrepareOptions(levels=(3, 2, 1)))
         save_shards(tmp_path / "shards", data)
         tensors = load_tensors(tmp_path / "shards" / "shard.bin")
         assert "attr_matrix" not in tensors
@@ -721,7 +736,7 @@ class TestShardRoundTrip:
 
     def test_ground_truth_in_history_rejected(self, tmp_path):
         spath, cpath = toy_corpus(tmp_path)
-        data = prepare(spath, cpath, PrepareOptions(level_sizes=(3, 2, 1)))
+        data = prepare(spath, cpath, PrepareOptions(levels=(3, 2, 1)))
         sess = data.test[1]
         sess.history[0] = sess.gt
         save_shards(tmp_path / "shards", data)
