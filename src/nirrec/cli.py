@@ -34,7 +34,6 @@ from .errors import (
 from .evaluate import (
     EvalOptions,
     evaluate,
-    evaluate_sampled,
     write_metrics_json,
     write_plotdata_csv,
     write_rankings_csv,
@@ -204,7 +203,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     print("Average length   %.4g" % stats["avg_length"])
     write_manifest(
         out, "prepare", args.seed, as_config(opts),
-        [Path(args.sessions), Path(args.catalog)],
+        [Path(p) for p in (args.sessions, args.catalog, opts.vectors_path) if p is not None],
         [out / "shard.bin", out / "index.json"],
         time.perf_counter() - started,
     )
@@ -249,12 +248,7 @@ def _evaluate_once(
     data = load_shards(shards)
     params, stored = load_params(ckpt, data)
     cfg = configure(stored)
-    if ev.eval_mode == "sampled":
-        report = evaluate_sampled(
-            params, data, cfg, repeats=ev.repeats, strict_precision=ev.strict_precision
-        )
-    else:
-        report = evaluate(params, data, cfg, strict_precision=ev.strict_precision)
+    report = evaluate(params, data, cfg, ev)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.json"
     rankings_path = out / "rankings.csv"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -44,9 +44,9 @@ CATALOG_BLOCK_ROWS = 384
 
 @dataclass
 class EvalOptions:
-    """How a checkpoint is scored: ``mean`` ranks once under the Beta-mean
-    attention (:func:`evaluate`), ``sampled`` averages ``repeats``
-    sampled-attention runs (:func:`evaluate_sampled`), and
+    """How :func:`evaluate` scores a checkpoint: ``mean`` ranks once under
+    the Beta-mean attention, ``sampled`` ranks ``repeats`` times under
+    sampled attention and reports the mean and population std, and
     ``strict_precision`` reads P@k as hits/k instead of the hit rate."""
 
     eval_mode: str = "mean"
@@ -56,6 +56,12 @@ class EvalOptions:
     def __post_init__(self) -> None:
         if self.eval_mode not in EVAL_MODES:
             raise ConfigurationError(f"eval_mode must be mean or sampled, got {self.eval_mode!r}")
+        if not isinstance(self.repeats, (int, np.integer)) or self.repeats < 1:
+            raise ConfigurationError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        if not isinstance(self.strict_precision, bool):
+            raise ConfigurationError(
+                f"strict_precision must be true or false, got {self.strict_precision!r}"
+            )
 
 
 @dataclass
@@ -211,27 +217,29 @@ def evaluate(
     params: ModelParams,
     data: PreparedData,
     cfg: TrainConfig,
-    beta_mode: str = "mean",
-    rng: Rng | None = None,
-    strict_precision: bool = False,
+    ev: EvalOptions | None = None,
 ) -> MetricsReport:
-    """Score every test session against the full candidate pool.
+    """Score every test session against the full candidate pool under
+    ``ev`` (default: ``EvalOptions()``, the Beta-mean attention).
 
-    The default deterministic path uses the Beta-mean attention mode, so
-    the report depends only on (params, data, config).  Sessions whose
-    ground truth cannot be scored are skipped and counted by reason:
-    ``no_candidates`` (the history covers the catalog) or
+    Sessions whose ground truth cannot be scored are skipped and counted
+    by reason: ``no_candidates`` (the history covers the catalog) or
     ``gt_not_candidate`` (an unknown ground-truth id, or one in the
-    history).
+    history).  The kept sessions run in chunks through
+    :func:`nirrec.model.forward_chunk`, with no tape, and each session
+    ranks its candidates' logits in its row of the chunk's intents times
+    the catalog table of :func:`catalog_table`.  The table is mapped once
+    per parameter state, so repeated calls on unchanged parameters and
+    data (one-session recommend requests) map θ once between them.
 
-    θ does not depend on the session: the test sessions run in chunks
-    through :func:`nirrec.model.forward_chunk`, with no tape, and each
-    session ranks its candidates' logits in its row of the chunk's
-    intents times the catalog table of :func:`catalog_table`.  The table
-    is mapped once per parameter state, so repeated calls on unchanged
-    parameters and data (a one-session recommend request, the repeats of
-    :func:`evaluate_sampled`) map θ once between them.
+    ``mean`` mode ranks once and depends only on (params, data, config).
+    ``sampled`` mode ranks ``ev.repeats`` times, pass r drawing each
+    session's attention from ``Rng(cfg.seed, "eval-sample", r)`` derived
+    by session id; P@k and MRR@k are the mean over the passes, ``p_std``
+    and ``mrr_std`` their population std, and ``results`` hold the first
+    pass's rankings.
     """
+    ev = ev or EvalOptions()
     if not data.test:
         raise EvaluationError("test split is empty")
     emb = catalog_table(params, data)
@@ -247,67 +255,56 @@ def evaluate(
             reasons["gt_not_candidate"] += 1
             continue
         kept.append((sess, cand))
-    results: list[RankedResult] = []
-    for part in chunk_slices([sess.history for sess, _ in kept]):
-        chunk = kept[part]
-        fwd = forward_chunk(
-            [sess.history for sess, _ in chunk],
-            params,
-            data,
-            cfg.lambda_,
-            rngs=None if rng is None else [rng.derive(sess.session_id) for sess, _ in chunk],
-            beta_mode=beta_mode,
-            propagate_taxonomy=cfg.propagate_taxonomy,
-            session_ids=[sess.session_id for sess, _ in chunk],
-        )
-        # Rank the logits: softmax rounding can tie candidates they order.
-        logits = score_candidates(fwd.i, params.w_proj, emb).data
-        for (sess, cand), row in zip(chunk, logits):
-            results.append(_rank_ids(sess.session_id, cand, row[cand - 1], sess.gt))
     skipped = sum(reasons.values())
-    if not results:
+    if not kept:
         raise EvaluationError(f"all {skipped} test sessions were skipped")
+    chunks = [kept[part] for part in chunk_slices([sess.history for sess, _ in kept])]
+    # One attention stream per pass; None is the Beta-mean pass.
+    if ev.eval_mode == "mean":
+        passes = [None]
+    else:
+        passes = [Rng(cfg.seed, "eval-sample", r) for r in range(ev.repeats)]
+    runs: list[list[RankedResult]] = []
+    for rng in passes:
+        results = []
+        for chunk in chunks:
+            fwd = forward_chunk(
+                [sess.history for sess, _ in chunk],
+                params,
+                data,
+                cfg.lambda_,
+                rngs=None if rng is None else [rng.derive(sess.session_id) for sess, _ in chunk],
+                beta_mode="mean" if rng is None else "sample",
+                propagate_taxonomy=cfg.propagate_taxonomy,
+                session_ids=[sess.session_id for sess, _ in chunk],
+            )
+            # Rank the logits: softmax rounding can tie candidates they order.
+            logits = score_candidates(fwd.i, params.w_proj, emb).data
+            for (sess, cand), row in zip(chunk, logits):
+                results.append(_rank_ids(sess.session_id, cand, row[cand - 1], sess.gt))
+        runs.append(results)
+    p = {
+        k: [precision_at_k(run, k, strict=ev.strict_precision) for run in runs]
+        for k in cfg.eval_ks
+    }
+    mrr = {k: [mrr_at_k(run, k) for run in runs] for k in cfg.eval_ks}
     report = MetricsReport(
-        p={k: precision_at_k(results, k, strict=strict_precision) for k in cfg.eval_ks},
-        mrr={k: mrr_at_k(results, k) for k in cfg.eval_ks},
-        sessions=len(results),
+        p={k: v[0] for k, v in p.items()},
+        mrr={k: v[0] for k, v in mrr.items()},
+        sessions=len(kept),
         skipped=skipped,
         seed=cfg.seed,
         config=cfg.to_dict(),
-        results=results,
-        precision_convention="strict" if strict_precision else "hit_rate",
+        results=runs[0],
+        precision_convention="strict" if ev.strict_precision else "hit_rate",
         skipped_reasons=reasons,
     )
+    if ev.eval_mode == "sampled":
+        report.p = {k: float(np.mean(v)) for k, v in p.items()}
+        report.mrr = {k: float(np.mean(v)) for k, v in mrr.items()}
+        report.p_std = {k: float(np.std(v)) for k, v in p.items()}
+        report.mrr_std = {k: float(np.std(v)) for k, v in mrr.items()}
     return report
-
-
-def evaluate_sampled(
-    params: ModelParams,
-    data: PreparedData,
-    cfg: TrainConfig,
-    repeats: int = 5,
-    strict_precision: bool = False,
-) -> MetricsReport:
-    """Sampled-attention evaluation: mean and population std over derived
-    seeds, mirroring reported plus/minus ranges."""
-    if repeats < 1:
-        raise DomainError(f"repeats must be at least 1, got {repeats}")
-    runs = [
-        evaluate(
-            params, data, cfg, beta_mode="sample", rng=Rng(cfg.seed, "eval-sample", r),
-            strict_precision=strict_precision,
-        )
-        for r in range(repeats)
-    ]
-    p = {k: np.array([r.p[k] for r in runs]) for k in cfg.eval_ks}
-    mrr = {k: np.array([r.mrr[k] for r in runs]) for k in cfg.eval_ks}
-    return replace(
-        runs[0],
-        p={k: float(v.mean()) for k, v in p.items()},
-        mrr={k: float(v.mean()) for k, v in mrr.items()},
-        p_std={k: float(v.std()) for k, v in p.items()},
-        mrr_std={k: float(v.std()) for k, v in mrr.items()},
-    )
 
 
 # ---------------------------------------------------------------------------

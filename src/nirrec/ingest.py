@@ -559,10 +559,9 @@ def prepare(
     # taxonomy paths: explicit, clustered from labels, or UNKNOWN
     paths: dict[str, tuple[str, str, str]] = {}
     flat_labels = {rec.item: rec.labels for rec in records if rec.taxonomy is None and rec.labels}
-    # The label vectors and the pretrained attribute vectors share one parse.
-    vector_file = None
-    if opts.vectors_path is not None and (flat_labels or opts.attr_mode == "pretrained"):
-        vector_file = load_vector_file(opts.vectors_path)
+    # A given vector file is always read, so a bad one is an error even when
+    # nothing uses it; the label and attribute vectors share this one parse.
+    vector_file = None if opts.vectors_path is None else load_vector_file(opts.vectors_path)
     if flat_labels:
         label_set = {lab for labs in flat_labels.values() for lab in labs}
         file_vectors = None if vector_file is None else vector_file[0]

@@ -148,10 +148,8 @@ def _stands_for(value, default) -> bool:
     return type(value) is type(default)
 
 
-def apply_ablation(cfg: TrainConfig, which: str | None) -> TrainConfig:
+def apply_ablation(cfg: TrainConfig, which: str) -> TrainConfig:
     """Map an ablation switch onto the equivalent hyperparameter setting."""
-    if which is None:
-        return cfg
     if which == "no_alpha":
         return replace(cfg, lambda_=0.0)
     if which == "no_beta":

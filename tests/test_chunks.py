@@ -15,7 +15,7 @@ from nirrec.autodiff import Rng, Tensor, zero_grads
 from nirrec.datagen import write_toy_dataset
 from nirrec.encoder import ggnn_forward, init_ggnn
 from nirrec.errors import DimensionError, TrainingError
-from nirrec.evaluate import evaluate
+from nirrec.evaluate import EvalOptions, evaluate
 from nirrec.ingest import EncodedSession, prepare
 from nirrec.intent import compute_intent, init_intent
 from nirrec.model import chunk_slices, init_params, session_loss, train
@@ -239,7 +239,7 @@ class TestChunkedEvaluate:
         data = prepare(*write_toy_dataset(tmp_path))
         cfg = small_cfg(epochs=1, batch_size=8)
         params = train(data, cfg).params
-        rng = Rng(5, "eval") if beta_mode == "sample" else None
+        ev = EvalOptions("sampled", 1) if beta_mode == "sample" else EvalOptions()
         sizes = []
         real = model_mod.forward_chunk
 
@@ -248,11 +248,11 @@ class TestChunkedEvaluate:
             return real(histories, *args, **kwargs)
 
         monkeypatch.setattr("nirrec.evaluate.forward_chunk", counting)
-        chunked = evaluate(params, data, cfg, beta_mode=beta_mode, rng=rng)
+        chunked = evaluate(params, data, cfg, ev)
         assert max(sizes) > 1
         sizes.clear()
         monkeypatch.setattr(model_mod, "CHUNK_NODES", 1)
-        alone = evaluate(params, data, cfg, beta_mode=beta_mode, rng=rng)
+        alone = evaluate(params, data, cfg, ev)
         assert set(sizes) == {1} and len(sizes) == len(data.test)
         assert len(chunked.results) == len(alone.results) == len(data.test)
         for a, b in zip(chunked.results, alone.results):

@@ -51,7 +51,8 @@ def checkpoint(tmp_path_factory, shards):
 
 
 # Every option field with its dataclass, command-line flag, config-file key
-# and a value other than its default (as typed on the command line).
+# and a value other than its default (as typed on the command line;
+# `vectors_path`'s value names a vector file the test writes).
 SCHEMA = {
     "d": (TrainConfig, "--d", "d", "8"),
     "d_a": (TrainConfig, "--d-a", "d_a", "5"),
@@ -69,7 +70,7 @@ SCHEMA = {
     "propagate_taxonomy": (TrainConfig, "--propagate-taxonomy", "propagate_taxonomy", "true"),
     "levels": (PrepareOptions, "--levels", "levels", "4,3,2"),
     "attr_mode": (PrepareOptions, "--attr-mode", "attr_mode", "pretrained"),
-    "vectors_path": (PrepareOptions, "--vectors", "vectors_path", "unread.vec"),
+    "vectors_path": (PrepareOptions, "--vectors", "vectors_path", "other.vec"),
     "boundary_days": (PrepareOptions, "--boundary-days", "boundary_days", "6.5"),
     "label_vector_dim": (PrepareOptions, "--label-vector-dim", "label_vector_dim", "4"),
     "eval_mode": (EvalOptions, "--eval-mode", "eval_mode", "sampled"),
@@ -109,6 +110,8 @@ class TestTrainSchema:
         self, name, tmp_path, corpus, shards, checkpoint
     ):
         cls, flag, key, raw = SCHEMA[name]
+        if name == "vectors_path":
+            raw = str(write_token_vectors(tmp_path / raw, corpus[1]))
         command = COMMAND_OF[cls]
         # Flags each command is run with, unless the field under test is one.
         fixed = {
@@ -190,6 +193,25 @@ class TestExitCodes:
         argv = ["prepare", str(sessions), str(missing), "--out", str(tmp_path / "s")]
         assert main(argv) == 2
         assert "nope.jsonl" in capsys.readouterr().err
+
+    def test_vector_file_is_always_read(self, corpus, shards, tmp_path, capsys):
+        """The toy catalog (trainable, explicit taxonomies) uses no vectors,
+        but a given vector file is still read: a missing or malformed one
+        exits 2 naming it, and a good one is digested among the manifest's
+        inputs and leaves the shards as they are without it."""
+        sessions, catalog = corpus
+        base = ["prepare", str(sessions), str(catalog), "--out", str(tmp_path / "o")]
+        bad = tmp_path / "bad.vec"
+        bad.write_text("tok 1.0 x\n")
+        for path in (tmp_path / "missing.vec", bad):
+            assert main(base + ["--vectors", str(path)]) == 2
+            assert str(path) in capsys.readouterr().err
+        good = write_token_vectors(tmp_path / "tokens.vec", catalog)
+        assert main(base + ["--vectors", str(good)]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["inputs"][str(good)] == sha(good)
+        for name in ("shard.bin", "index.json"):
+            assert sha(tmp_path / "o" / name) == sha(shards / name)
 
     def test_vocab_mismatch_returns_four(self, corpus, checkpoint, tmp_path):
         sessions, catalog = corpus
@@ -318,6 +340,25 @@ class TestExitCodes:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    @pytest.mark.parametrize("mode", ["mean", "sampled"])
+    @pytest.mark.parametrize("command", ["eval", "ablate", "sweep"])
+    def test_bad_repeats_returns_one_and_names_it(
+        self, shards, checkpoint, tmp_path, capsys, command, mode, repeats
+    ):
+        """Checked before any work, whether or not the mode uses it."""
+        inputs = {
+            "eval": [str(shards), str(checkpoint)],
+            "ablate": [str(shards), "--which", "no_beta"],
+            "sweep": [str(shards), "--param", "gamma", "--values", "0.5"],
+        }[command]
+        argv = [command, *inputs, "--eval-mode", mode, "--repeats", repeats,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "repeats" in err
         assert not (tmp_path / "o").exists()
 
 

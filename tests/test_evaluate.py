@@ -15,11 +15,11 @@ from nirrec.autodiff import Rng
 from nirrec.datagen import write_toy_dataset
 from nirrec.errors import DomainError, EvaluationError
 from nirrec.evaluate import (
+    EvalOptions,
     MetricsReport,
     RankedResult,
     _rank_ids,
     evaluate,
-    evaluate_sampled,
     mrr_at_k,
     precision_at_k,
     rank,
@@ -292,7 +292,7 @@ class TestEvaluatePipeline:
         assert report.skipped_reasons == {"no_candidates": 1, "gt_not_candidate": 1}
         raw = report.to_dict()
         assert raw["skipped_reasons"] == report.skipped_reasons
-        sampled = evaluate_sampled(self.params, data, self.cfg, repeats=2)
+        sampled = evaluate(self.params, data, self.cfg, EvalOptions("sampled", 2))
         assert sampled.skipped_reasons == report.skipped_reasons
 
     def test_all_skipped_rejected(self):
@@ -310,15 +310,15 @@ class TestEvaluatePipeline:
             evaluate(self.params, data, self.cfg)
 
     def test_sampled_mode_reports_spread(self):
-        report = evaluate_sampled(self.params, self.data, self.cfg, repeats=3)
+        report = evaluate(self.params, self.data, self.cfg, EvalOptions("sampled", 3))
         assert report.p_std is not None and report.mrr_std is not None
         assert all(v >= 0.0 for v in report.p_std.values())
         raw = report.to_dict()
         assert "p_std" in raw and "mrr_std" in raw
 
     def test_sampled_mode_deterministic(self):
-        r1 = evaluate_sampled(self.params, self.data, self.cfg, repeats=2)
-        r2 = evaluate_sampled(self.params, self.data, self.cfg, repeats=2)
+        r1 = evaluate(self.params, self.data, self.cfg, EvalOptions("sampled", 2))
+        r2 = evaluate(self.params, self.data, self.cfg, EvalOptions("sampled", 2))
         assert r1.p == r2.p and r1.p_std == r2.p_std
 
     def test_theta_mapped_once_per_call(self, monkeypatch):
@@ -327,10 +327,10 @@ class TestEvaluatePipeline:
         rows = count_theta_maps(monkeypatch)
         evaluate(self.params, self.data, self.cfg)
         assert rows == [self.data.n_items - 1]
-        evaluate_sampled(self.params, self.data, self.cfg, repeats=3)
+        evaluate(self.params, self.data, self.cfg, EvalOptions("sampled", 3))
         assert len(rows) == 1
         self.params.theta.o_b.data[0] += 0.25
-        evaluate_sampled(self.params, self.data, self.cfg, repeats=3)
+        evaluate(self.params, self.data, self.cfg, EvalOptions("sampled", 3))
         assert rows == [self.data.n_items - 1] * 2
 
 
@@ -362,13 +362,56 @@ class TestSharedCatalogTable:
         data = prepare(*write_toy_dataset(tmp_path))
         cfg = small_cfg(epochs=1, batch_size=8)
         params = train(data, cfg).params
-        rng = Rng(5, "eval") if beta_mode == "sample" else None
-        report = evaluate(params, data, cfg, beta_mode=beta_mode, rng=rng)
+        if beta_mode == "sample":
+            ev, rng = EvalOptions("sampled", 1), Rng(cfg.seed, "eval-sample", 0)
+        else:
+            ev, rng = EvalOptions(), None
+        report = evaluate(params, data, cfg, ev)
         assert report.skipped == 0 and len(report.results) == len(data.test)
         expected = per_session_rankings(params, data, cfg, beta_mode, rng)
         for res, sess, ranking in zip(report.results, data.test, expected):
             np.testing.assert_array_equal(res.ranking, ranking)
             assert res.gt_rank == 1 + int(np.flatnonzero(ranking == sess.gt)[0])
+
+
+class TestSampledProtocol:
+    """Sampled evaluation is pinned exactly: ``repeats`` passes, pass r
+    ranking every session on θ over its own candidates under the streams
+    ``Rng(cfg.seed, "eval-sample", r).derive(session_id)``, reported as the
+    NumPy mean and population std over the passes with the first pass's
+    rankings, and θ mapped once for the whole call."""
+
+    def test_report_is_mean_and_std_over_reference_passes(self, tmp_path, monkeypatch):
+        # Wide enough, and cut off early enough, that the passes' ground-truth
+        # ranks differ, so a wrong stream, pass or statistic shows.
+        data = prepare(*write_toy_dataset(tmp_path, n_test=40))
+        cfg = small_cfg(epochs=1, batch_size=8, d=16, d_a=8, h=16, eval_ks=(3, 5))
+        params = train(data, cfg).params
+        rows = count_theta_maps(monkeypatch)
+        report = evaluate(params, data, cfg, EvalOptions("sampled", 3))
+        assert rows == [data.n_items - 1]
+
+        passes = [
+            per_session_rankings(params, data, cfg, "sample", Rng(cfg.seed, "eval-sample", r))
+            for r in range(3)
+        ]
+        ranks = [
+            [1 + int(np.flatnonzero(ranking == sess.gt)[0])
+             for ranking, sess in zip(rankings, data.test)]
+            for rankings in passes
+        ]
+        n = len(data.test)
+        for k in cfg.eval_ks:
+            p = np.array([100.0 * sum(1 for r in run if r <= k) / n for run in ranks])
+            mrr = np.array([100.0 * sum(1.0 / r for r in run if r <= k) / n for run in ranks])
+            assert report.p[k] == float(p.mean()) and report.p_std[k] == float(p.std())
+            assert report.mrr[k] == float(mrr.mean()) and report.mrr_std[k] == float(mrr.std())
+        assert all(report.p_std[k] > 0 and report.mrr_std[k] > 0 for k in cfg.eval_ks)
+        assert report.sessions == n and report.skipped == 0
+        assert [res.session_id for res in report.results] == [s.session_id for s in data.test]
+        for res, ranking, rank_ in zip(report.results, passes[0], ranks[0]):
+            np.testing.assert_array_equal(res.ranking, ranking)
+            assert res.gt_rank == rank_
 
 
 class TestCatalogIndex:

@@ -381,7 +381,6 @@ class TestAblationAlgebra:
         assert apply_ablation(cfg, "no_alpha").lambda_ == 0.0
         assert apply_ablation(cfg, "no_beta").lambda_ == 1.0
         assert apply_ablation(cfg, "no_lzero").gamma == 1.0
-        assert apply_ablation(cfg, None) is cfg
         with pytest.raises(ConfigurationError, match="unknown ablation"):
             apply_ablation(cfg, "no_graph")
 
