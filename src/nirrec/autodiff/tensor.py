@@ -10,6 +10,10 @@ values surface as errors instead of propagating silently.
 Gradients only flow for operations executed inside a ``with Tape() as
 tape:`` block and only into tensors whose ``requires_grad`` flag is set
 (directly for leaves, transitively for intermediates).
+
+The per-segment ops take their row layout (a chunk's session rows, an
+attribute gather's token columns) as one :class:`Segments`, checked when
+it is built; each op checks only that it spans the op's rows.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .special import log_gamma as _log_gamma_arr
 __all__ = [
     "Tensor",
     "Tape",
+    "Segments",
     "add",
     "sub",
     "mul",
@@ -210,6 +215,91 @@ def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise DimensionError(f"{op}: cannot broadcast shapes {a.shape} and {b.shape}") from None
+
+
+# ---------------------------------------------------------------------------
+# row segments
+
+
+class Segments:
+    """Segment r owns the ``lengths[r]`` rows from ``starts[r]`` up to the
+    next start, the last up to ``n``; with ``last_rows``, its anchor (a
+    session's most recent history item) is row ``last_rows[r]``.
+
+    Segments start at row 0, are non-empty and cover the n rows, and each
+    anchor lies inside its segment, or DimensionError is raised; no
+    segments over no rows is the empty layout.  The arrays are read-only.
+    The reductions below work on whole segments at once, so nothing grows
+    with segments × rows."""
+
+    def __init__(
+        self, starts: Sequence[int], n: int, last_rows: Sequence[int] | None = None
+    ) -> None:
+        self.starts = np.array(starts, dtype=np.int64)
+        self.n = int(n)
+        if self.starts.ndim != 1:
+            raise DimensionError(f"expected 1-d segment starts, got shape {self.starts.shape}")
+        self.lengths = np.diff(self.starts, append=self.n)
+        if self.starts[:1].any() or (self.lengths < 1).any() or self.lengths.sum() != self.n:
+            raise DimensionError(f"segments must start at 0 and be non-empty over {self.n} rows")
+        self.last_rows: np.ndarray | None = None
+        if last_rows is not None:
+            self.last_rows = np.array(last_rows, dtype=np.int64)
+            if self.last_rows.shape != self.starts.shape or (
+                (self.last_rows < self.starts) | (self.last_rows >= self.starts + self.lengths)
+            ).any():
+                raise DimensionError("need one last row inside each segment")
+            self.last_rows.flags.writeable = False
+        self.starts.flags.writeable = False
+        self.lengths.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def check(self, op: str, n: int, anchored: bool = False) -> None:
+        """DimensionError unless these segments span ``n`` rows and, when
+        ``anchored``, have last rows."""
+        if self.n != n:
+            raise DimensionError(f"{op}: segments over {self.n} rows given {n}")
+        if anchored and self.last_rows is None:
+            raise DimensionError(f"{op}: segments without last rows")
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The segment of every row."""
+        return np.repeat(np.arange(len(self)), self.lengths)
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """Each segment's rows of ``x`` added in row order, one row per
+        segment."""
+        return np.add.reduceat(x, self.starts, axis=0)
+
+    def spread(self, y: np.ndarray) -> np.ndarray:
+        """Each segment's row of ``y`` repeated over the segment's rows."""
+        return np.repeat(y, self.lengths, axis=0)
+
+    def gather_sum(self, table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Row r is ``table[cols[starts[r]]] + table[cols[starts[r] + 1]] +
+        ...`` over segment r's positions of ``cols``, added left to right.
+
+        One vectorised step per position: every segment takes its p-th
+        column at step p, so the work is the n gathered rows plus one pass
+        per position over the segments still that long, found once by
+        sorting the segments past the shortest length.  ``np.add.reduceat``
+        instead loops per segment and per column."""
+        starts, lengths = self.starts, self.lengths
+        out = table[cols[starts]]
+        short = int(lengths.min())
+        for p in range(1, short):
+            out += table[cols[starts + p]]
+        longer = np.flatnonzero(lengths > short)
+        if longer.size:
+            longer = longer[np.argsort(-lengths[longer], kind="stable")]
+            neg_len = -lengths[longer]  # ascending
+            for p in range(short, int(lengths.max())):
+                rows = longer[: int(np.searchsorted(neg_len, -p))]  # length > p
+                out[rows] += table[cols[starts[rows] + p]]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +625,15 @@ def gated_graph_step(adj_out, adj_in, v, h, b, wz, uz, wr, ur, wo, uo) -> Tensor
     return _record(out, (v, h, b, wz, uz, wr, ur, wo, uo), rule)
 
 
-def attention_readout(e, w1, w2, starts, last_rows) -> tuple[Tensor, np.ndarray]:
+def attention_readout(e, w1, w2, segs: Segments) -> tuple[Tensor, np.ndarray]:
     """Soft attention over n node rows ``e`` (n × m), read out as one row
-    per segment:
+    per segment of ``segs``:
 
         g_i = σ(e_i·w1 + e_l·w2),   out_r = Σ_{i in r} g_i e_i
 
-    for ``w1`` and ``w2`` m × 1, where segment r runs from ``starts[r]``
-    to the next start (the last to n) and l = ``last_rows[r]`` is its
-    anchor row.  Returns the readout and the gates g, an n × 1 array that
-    takes no gradient.
+    for ``w1`` and ``w2`` m × 1, where l = ``segs.last_rows[r]`` is
+    segment r's anchor row.  Returns the readout and the gates g, an n × 1
+    array that takes no gradient.
 
     One op for the seven :func:`matmul`, :func:`add`, :func:`sigmoid` and
     :func:`mul` that spell it with 0/1 segment matrices: the anchor is a
@@ -558,21 +647,21 @@ def attention_readout(e, w1, w2, starts, last_rows) -> tuple[Tensor, np.ndarray]
     if e.ndim != 2:
         raise DimensionError(f"attention_readout: expected (n, m) node rows, got {e.shape}")
     n, m = e.shape
-    starts, last_rows, lengths = _segment_layout("attention_readout", starts, last_rows, n)
+    segs.check("attention_readout", n, anchored=True)
     if w1.shape != (m, 1) or w2.shape != (m, 1):
         raise DimensionError(f"attention_readout: weights do not fit {m}-wide rows")
-    ed = e.data
+    ed, last_rows = e.data, segs.last_rows
     # Gathered after the product, so that the gates are the chain's bit for bit.
-    logits = ed @ w1.data + np.repeat((ed @ w2.data)[last_rows], lengths, axis=0)
+    logits = ed @ w1.data + segs.spread((ed @ w2.data)[last_rows])
     if not all_finite(logits):
         raise NonFiniteError("attention_readout: a gate pre-activation contains NaN or Inf")
     gates = 0.5 * (1.0 + np.tanh(0.5 * logits))
-    out = Tensor(np.add.reduceat(gates * ed, starts, axis=0))
+    out = Tensor(segs.sum(gates * ed))
 
     def rule(g: np.ndarray) -> None:
-        d_ge = np.repeat(g, lengths, axis=0)
+        d_ge = segs.spread(g)
         d_logits = (d_ge * ed).sum(axis=1, keepdims=True) * gates * (1.0 - gates)
-        d_anchor = np.add.reduceat(d_logits, starts, axis=0)
+        d_anchor = segs.sum(d_logits)
         _accumulate(w1, ed.T @ d_logits)
         _accumulate(w2, ed[last_rows].T @ d_anchor)
         d_e = d_ge * gates + d_logits @ w1.data.T
@@ -582,16 +671,16 @@ def attention_readout(e, w1, w2, starts, last_rows) -> tuple[Tensor, np.ndarray]
     return _record(out, (e, w1, w2), rule), gates
 
 
-def standardized_readout(e, b, w3, starts, last_rows, eps: float) -> tuple[Tensor, np.ndarray]:
+def standardized_readout(e, b, w3, segs: Segments, eps: float) -> tuple[Tensor, np.ndarray]:
     """Node rows ``e`` (n × m) weighted by ``b`` (length n), standardized
-    per segment and read out as one row per segment:
+    per segment of ``segs`` and read out as one row per segment:
 
         x_i = b_i e_i,   y_i = (x_i + x_l − mean_j x_j) / (s + eps),
         β_i = y_i·w3,    out_r = Σ_{i in r} β_i e_i
 
-    where segment r runs from ``starts[r]`` to the next start (the last
-    to n), l = ``last_rows[r]`` is its anchor row, the mean is over its
-    rows and s is the population std of its weights (:func:`segment_std`).
+    where l = ``segs.last_rows[r]`` is segment r's anchor row, the mean is
+    over its rows and s is the population std of its weights
+    (:func:`segment_std`).
     Returns the readout and the scores β, an n × 1 array that takes no
     gradient.
 
@@ -609,35 +698,36 @@ def standardized_readout(e, b, w3, starts, last_rows, eps: float) -> tuple[Tenso
             f"standardized_readout: expected (n, m) rows and n weights, got {e.shape} and {b.shape}"
         )
     n, m = e.shape
-    starts, last_rows, lengths = _segment_layout("standardized_readout", starts, last_rows, n)
+    segs.check("standardized_readout", n, anchored=True)
     if w3.shape != (m, 1):
         raise DimensionError(f"standardized_readout: weights do not fit {m}-wide rows")
     ed, bd = e.data, b.data
+    last_rows, lengths = segs.last_rows, segs.lengths
     b_col = bd.reshape(n, 1)
     scaled = b_col * ed
-    shift = scaled[last_rows] - np.add.reduceat(scaled, starts, axis=0) / lengths[:, None]
-    dev, s = _segment_std(bd, starts, lengths)
+    shift = scaled[last_rows] - segs.sum(scaled) / lengths[:, None]
+    dev, s = _segment_std(bd, segs)
     if not all_finite(s):
         raise NonFiniteError("standardized_readout: a weight std contains NaN or Inf")
-    num = scaled + np.repeat(shift, lengths, axis=0)
-    den = np.repeat((s + eps)[:, None], lengths, axis=0)
+    num = scaled + segs.spread(shift)
+    den = segs.spread((s + eps)[:, None])
     standardized = num / den
     scores = standardized @ w3.data
-    out = Tensor(np.add.reduceat(scores * ed, starts, axis=0))
+    out = Tensor(segs.sum(scores * ed))
 
     def rule(g: np.ndarray) -> None:
-        d_se = np.repeat(g, lengths, axis=0)
+        d_se = segs.spread(g)
         d_scores = (d_se * ed).sum(axis=1, keepdims=True)
         _accumulate(w3, standardized.T @ d_scores)
         d_num = (d_scores @ w3.data.T) / den
         d_den = -(d_num * standardized).sum(axis=1)
-        d_shift = np.add.reduceat(d_num, starts, axis=0)
-        d_scaled = d_num - np.repeat(d_shift / lengths[:, None], lengths, axis=0)
+        d_shift = segs.sum(d_num)
+        d_scaled = d_num - segs.spread(d_shift / lengths[:, None])
         d_scaled[last_rows] += d_shift
-        d_s = np.add.reduceat(d_den, starts)
+        d_s = segs.sum(d_den)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(s > 0.0, d_s / (lengths * s), 0.0)
-        _accumulate(b, (d_scaled * ed).sum(axis=1) + dev * np.repeat(scale, lengths))
+        _accumulate(b, (d_scaled * ed).sum(axis=1) + dev * segs.spread(scale))
         _accumulate(e, d_se * scores + d_scaled * b_col)
 
     return _record(out, (e, b, w3), rule), scores
@@ -821,39 +911,32 @@ def take_rows(t, indices) -> Tensor:
     return _record(out, (t,), rule)
 
 
-def segment_mean(table, cols, starts, seg) -> Tensor:
-    """Row r is the mean of ``table[cols[starts[r] : starts[r + 1]]]``; the
-    last segment runs to the end of ``cols``.  ``seg`` is the segment of
-    each entry of ``cols``, as :meth:`nirrec.ingest.AttributeMatrix.gather`
-    returns it.
+def segment_mean(table, cols, segs: Segments) -> Tensor:
+    """Row r is the mean of ``table[cols[i]]`` over the positions i of
+    segment r of ``segs``, as :meth:`nirrec.ingest.AttributeMatrix.gather`
+    returns them.
 
     That is the product with ``table`` of a sparse matrix whose row r puts
     weight 1/length on each column of segment r, so a column listed twice
     weighs twice.  Forward sums the gathered rows one position at a time
-    (:func:`_segment_sums`), backward is one ``np.add.at`` scatter into
-    ``table``'s gradient buffer.  Segments must be non-empty.
+    (:meth:`Segments.gather_sum`), backward is one ``np.add.at`` scatter
+    into ``table``'s gradient buffer.
     """
     table = _as_tensor(table)
     cols = np.asarray(cols, dtype=np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
-    seg = np.asarray(seg, dtype=np.int64)
-    if table.ndim != 2 or cols.ndim != 1 or starts.ndim != 1 or seg.shape != cols.shape:
+    if table.ndim != 2 or cols.ndim != 1:
         raise DimensionError(
-            f"segment_mean: expected a 2-d table, 1-d cols and starts and one segment "
-            f"id per column, got {table.shape}, {cols.shape}, {starts.shape} and {seg.shape}"
+            f"segment_mean: expected a 2-d table and 1-d cols, got {table.shape} and {cols.shape}"
         )
+    segs.check("segment_mean", cols.size)
     n = table.shape[0]
     if cols.size and (cols.min() < 0 or cols.max() >= n):
         bad = int(cols[(cols < 0) | (cols >= n)][0])
         raise DomainError(f"segment_mean: column {bad} out of range for {n} rows")
-    if not starts.size:
+    if not len(segs):
         return Tensor(np.zeros((0, table.shape[1])))
-    lengths = np.empty((len(starts), 1), dtype=np.int64)
-    lengths[:-1, 0] = starts[1:] - starts[:-1]
-    lengths[-1, 0] = cols.size - starts[-1]
-    if starts[0] != 0 or lengths.min() < 1:
-        raise DomainError("segment_mean: segments must start at 0 and be non-empty")
-    sums = _segment_sums(table.data, cols, starts, lengths[:, 0])
+    lengths = segs.lengths[:, None]
+    sums = segs.gather_sum(table.data, cols)
     sums /= lengths
     out = Tensor(sums)
 
@@ -862,32 +945,9 @@ def segment_mean(table, cols, starts, seg) -> Tensor:
         # Through a flat view: np.add.at over whole rows is several times
         # slower.
         flat = (cols[:, None] * d + np.arange(d)).ravel()
-        np.add.at(_grad_buffer(table).reshape(-1), flat, (g / lengths)[seg].ravel())
+        np.add.at(_grad_buffer(table).reshape(-1), flat, (g / lengths)[segs.ids].ravel())
 
     return _record(out, (table,), rule)
-
-
-def _segment_sums(table: np.ndarray, cols, starts, lengths) -> np.ndarray:
-    """Row r is ``table[cols[starts[r]]] + table[cols[starts[r] + 1]] + ...``
-    over its ``lengths[r]`` positions, added left to right.
-
-    One vectorised step per position: every row takes its p-th column at
-    step p, so the work is the nnz gathered rows plus one pass per
-    position over the rows still that long, found once by sorting the
-    rows past the shortest length.  ``np.add.reduceat`` instead loops
-    per segment and per column."""
-    out = table[cols[starts]]
-    short = int(lengths.min())
-    for p in range(1, short):
-        out += table[cols[starts + p]]
-    longer = np.flatnonzero(lengths > short)
-    if longer.size:
-        longer = longer[np.argsort(-lengths[longer], kind="stable")]
-        neg_len = -lengths[longer]  # ascending
-        for p in range(short, int(lengths.max())):
-            rows = longer[: int(np.searchsorted(neg_len, -p))]  # length > p
-            out[rows] += table[cols[starts[rows] + p]]
-    return out
 
 
 def pick(t, index: int) -> Tensor:
@@ -970,57 +1030,32 @@ def reduce_std(t) -> Tensor:
     return _record(out, (t,), rule)
 
 
-def segment_std(t, starts) -> Tensor:
-    """Population standard deviation of each contiguous segment of a 1-d
-    tensor: segment r runs from ``starts[r]`` to ``starts[r + 1]``, the
-    last to the end.  The :func:`reduce_std` rule per segment, flat where
-    a segment is constant."""
+def segment_std(t, segs: Segments) -> Tensor:
+    """Population standard deviation of each segment of ``segs`` over a
+    1-d tensor.  The :func:`reduce_std` rule per segment, flat where a
+    segment is constant."""
     t = _as_tensor(t)
     if t.ndim != 1:
         raise DimensionError(f"segment_std: expected a 1-d tensor, got {t.shape}")
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = _segment_lengths("segment_std", starts, t.size, DomainError)
-    dev, s = _segment_std(t.data, starts, lengths)
+    segs.check("segment_std", t.size)
+    dev, s = _segment_std(t.data, segs)
     out = Tensor(s)
 
     def rule(g: np.ndarray) -> None:
         # d s_r / d x_j = (x_j - m_r) / (n_r s_r) for j in segment r.
         with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(s > 0.0, g / (lengths * s), 0.0)
-        _accumulate(t, dev * np.repeat(scale, lengths))
+            scale = np.where(s > 0.0, g / (segs.lengths * s), 0.0)
+        _accumulate(t, dev * segs.spread(scale))
 
     return _record(out, (t,), rule)
 
 
-def _segment_lengths(op: str, starts: np.ndarray, n: int, error: type) -> np.ndarray:
-    """Each segment's length, segment r running from ``starts[r]`` to the
-    next start and the last to n; ``error`` unless they cover the n rows."""
-    if starts.ndim != 1 or not starts.size:
-        raise DimensionError(f"{op}: expected 1-d segment starts, got shape {starts.shape}")
-    lengths = np.diff(starts, append=n)
-    if starts[0] != 0 or lengths.min() < 1:
-        raise error(f"{op}: segments must start at 0 and be non-empty over {n} rows")
-    return lengths
-
-
-def _segment_layout(op: str, starts, last_rows, n: int):
-    """``starts`` and ``last_rows`` as integer arrays checked against n
-    rows, with each segment's length."""
-    starts, last_rows = (np.asarray(x, dtype=np.int64) for x in (starts, last_rows))
-    lengths = _segment_lengths(op, starts, n, DimensionError)
-    if last_rows.shape != starts.shape or (
-        (last_rows < starts) | (last_rows >= starts + lengths)
-    ).any():
-        raise DimensionError(f"{op}: need one last row inside each segment")
-    return starts, last_rows, lengths
-
-
-def _segment_std(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+def _segment_std(x: np.ndarray, segs: Segments):
     """Each entry's deviation from its segment's mean, and each segment's
     population std."""
-    m = np.add.reduceat(x, starts) / lengths
-    dev = x - np.repeat(m, lengths)
-    return dev, np.sqrt(np.add.reduceat(dev * dev, starts) / lengths)
+    m = segs.sum(x) / segs.lengths
+    dev = x - segs.spread(m)
+    return dev, np.sqrt(segs.sum(dev * dev) / segs.lengths)
 
 
 def masked_cross_entropy(logits, mask, targets) -> Tensor:

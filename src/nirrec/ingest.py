@@ -31,8 +31,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Rng, load_tensors, save_tensors
-from .autodiff.tensor import _segment_sums
+from .autodiff import Rng, Segments, load_tensors, save_tensors
 from .errors import ConfigurationError, DomainError, IngestionError
 from .sessiongraph import Session, mask_ground_truth
 
@@ -318,8 +317,9 @@ class AttributeMatrix:
     Row i lists item i's token columns ``cols[indptr[i] : indptr[i + 1]]``
     in catalog order, a token listed twice appearing twice; its weights
     are implied as 1/row length, so ``matrix @ token_table`` is the
-    mean-of-token-vectors embedding of every item.  Every row is
-    non-empty.  The arrays are read-only, so the matrix's identity stands
+    mean-of-token-vectors embedding of every item.  ``segments`` holds
+    those runs of ``cols`` as :class:`nirrec.autodiff.Segments`, so every
+    row is non-empty.  The arrays are read-only, so the matrix's identity stands
     for its content: the θ catalog index of :mod:`nirrec.evaluate` keeps a
     weak reference to it.
     """
@@ -328,8 +328,8 @@ class AttributeMatrix:
         self.indptr = np.array(indptr, dtype=np.int64)
         self.cols = np.array(cols, dtype=np.int64)
         self.n_tokens = int(n_tokens)
-        self._lengths = np.diff(self.indptr)
-        for arr in (self.indptr, self.cols, self._lengths):
+        self.segments = Segments(self.indptr[:-1], self.cols.size)
+        for arr in (self.indptr, self.cols):
             arr.flags.writeable = False
 
     @property
@@ -340,15 +340,14 @@ class AttributeMatrix:
     def nbytes(self) -> int:
         return self.indptr.nbytes + self.cols.nbytes
 
-    def gather(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(cols, starts, seg)`` of ``rows`` in order, the arguments of
-        :func:`nirrec.autodiff.segment_mean`: their token columns, where
-        each row's run begins, and the row position of every column."""
+    def gather(self, rows) -> tuple[np.ndarray, Segments]:
+        """``(cols, segments)`` of ``rows`` in order, the arguments of
+        :func:`nirrec.autodiff.segment_mean`: their token columns, and
+        which run of them is each row's."""
         rows = np.asarray(rows, dtype=np.int64)
-        lengths = self._lengths[rows]
-        starts = np.cumsum(lengths) - lengths
-        seg = np.repeat(np.arange(len(rows)), lengths)
-        return self.cols[(self.indptr[rows] - starts)[seg] + np.arange(len(seg))], starts, seg
+        lengths = self.segments.lengths[rows]
+        segs = Segments(np.cumsum(lengths) - lengths, int(lengths.sum()))
+        return self.cols[(self.indptr[rows] - segs.starts)[segs.ids] + np.arange(segs.n)], segs
 
     def __matmul__(self, table: np.ndarray) -> np.ndarray:
         """The attribute embedding of every item under ``table``, as plain
@@ -356,8 +355,8 @@ class AttributeMatrix:
         rows are summed one token position at a time, as that op's
         forward sums them: ``np.add.reduceat`` loops per row instead, four
         times slower over a 5,000-item catalog."""
-        sums = _segment_sums(np.asarray(table), self.cols, self.indptr[:-1], self._lengths)
-        return sums / self._lengths[:, None]
+        sums = self.segments.gather_sum(np.asarray(table), self.cols)
+        return sums / self.segments.lengths[:, None]
 
 
 @dataclass
@@ -432,6 +431,11 @@ def encode_attributes(
 # full preparation pipeline
 
 
+def is_integer(value) -> bool:
+    """Whether an option value is an integer: a float or a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class PrepareOptions:
     """``levels`` are the taxonomy cluster sizes k1, k2, k3 for flat-label
@@ -449,7 +453,7 @@ class PrepareOptions:
         k = tuple(self.levels)
         if not (
             len(k) == 3
-            and all(isinstance(n, (int, np.integer)) for n in k)
+            and all(map(is_integer, k))
             and k[0] > k[1] > k[2] >= 1
         ):
             raise ConfigurationError(
@@ -457,6 +461,9 @@ class PrepareOptions:
             )
         if not math.isfinite(self.boundary_days):
             raise ConfigurationError(f"boundary_days must be finite, got {self.boundary_days}")
+        for name in ("seed", "label_vector_dim"):
+            if not is_integer(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.label_vector_dim < 1:
             raise ConfigurationError(
                 f"label_vector_dim must be positive, got {self.label_vector_dim}"

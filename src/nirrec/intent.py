@@ -20,10 +20,11 @@ The fused intent is the convex combination I = λ I_α + (1 − λ) I_β; at
 the sampler cannot influence the result even numerically.
 
 Every function here takes a chunk of sessions as their stacked node rows
-and the :class:`nirrec.sessiongraph.Segments` that say which rows are
-whose: every sum, mean, std and last-item anchor above is taken over each
-session's own rows, each session draws from its own stream, and every
-intent has one row per session.  A single session is a chunk of one
+and the :class:`nirrec.autodiff.Segments` that say which rows are whose
+and where each session's last item sits: every sum, mean, std and
+last-item anchor above is taken over each session's own rows, each
+session draws from its own stream, and every intent has one row per
+session.  A single session is a chunk of one
 (:func:`nirrec.model.forward` turns its row into a vector).
 
 Each step is one autodiff op with a hand-derived backward: the α branch
@@ -31,11 +32,11 @@ is one :func:`nirrec.autodiff.attention_readout`, the Beta shapes one
 :func:`nirrec.autodiff.beta_shapes`, the density one
 :func:`nirrec.autodiff.beta_density` before its floor, the β aggregation
 one :func:`nirrec.autodiff.standardized_readout` and the fusion one
-:func:`nirrec.autodiff.mix`.  The readouts take ``segs.starts`` and
-``segs.last_rows`` and agree with the chains of elementary ops they
-replace within 1e-14 of the largest magnitude, the other steps bit for
-bit.  The gates and β scores come back as plain arrays beside the
-intents, for inspection; no gradient flows through them.
+:func:`nirrec.autodiff.mix`.  The readouts take the segments themselves
+and agree with the chains of elementary ops they replace within 1e-14 of
+the largest magnitude, the other steps bit for bit.  The gates and β
+scores come back as plain arrays beside the intents, for inspection; no
+gradient flows through them.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Rng, Tensor
+from .autodiff import Rng, Segments, Tensor
 from .errors import ConfigurationError, DimensionError, DomainError
-from .sessiongraph import Segments
 
 STD_EPS = 1e-8
 PDF_FLOOR = 1e-300
@@ -90,24 +90,12 @@ class IntentResult:
     clamped: int = 0
 
 
-def _check_rows(segs: Segments, n: int) -> None:
-    if segs.n != n:
-        raise DimensionError(f"segments over {segs.n} rows given {n} nodes")
-
-
 def alpha_intent(e: Tensor, segs: Segments, params: IntentParams) -> tuple[Tensor, np.ndarray]:
     """Soft attention anchored on each session's last item, one
     :func:`nirrec.autodiff.attention_readout` op: returns (I_α, gates),
     I_α with one row per session and the gates a column array with one row
     per node."""
-    _check_rows(segs, e.shape[0])
-    return ad.attention_readout(e, params.w1, params.w2, segs.starts, segs.last_rows)
-
-
-def beta_shape_params(v: Tensor, t: Tensor) -> Tensor:
-    """Per-node Beta shapes a_i = φ(mean(ϱ(v_i))), c_i = φ(mean(ϱ(t_i))),
-    the rows of one 2 × n :func:`nirrec.autodiff.beta_shapes` op."""
-    return ad.beta_shapes(v, t)
+    return ad.attention_readout(e, params.w1, params.w2, segs)
 
 
 def beta_weights(
@@ -118,7 +106,8 @@ def beta_weights(
     mode: str = "sample",
     draws: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray, int]:
-    """Beta-density attention weights b_i, evaluated at one point per node.
+    """Beta-density attention weights b_i, evaluated at one point per node,
+    under the shapes of one 2 × n :func:`nirrec.autodiff.beta_shapes` op.
 
     ``mode`` picks the point: "sample" draws x_i ~ Beta(a_i, c_i), each
     session from its own stream in ``rng`` (one per session of
@@ -130,16 +119,16 @@ def beta_weights(
     """
     if mode not in BETA_MODES:
         raise ConfigurationError(f"beta mode must be one of {BETA_MODES}, got {mode!r}")
-    _check_rows(segments, v.shape[0])
-    shapes = beta_shape_params(v, t)
+    segments.check("beta_weights", v.shape[0])
+    shapes = ad.beta_shapes(v, t)
     a, c = shapes.data
     if mode == "sample":
         rngs = list(rng or ())
         if len(rngs) != len(segments) or any(r is None for r in rngs):
             raise ConfigurationError("beta mode 'sample' requires an rng per session")
-        bounds = [*segments.starts, segments.n]
         x = np.concatenate([
-            ad.sample_beta(r, a[lo:hi], c[lo:hi]) for r, lo, hi in zip(rngs, bounds, bounds[1:])
+            ad.sample_beta(r, a_r, c_r)
+            for r, (a_r, c_r) in zip(rngs, np.split(shapes.data, segments.starts[1:], axis=1))
         ])
     elif mode == "mean":
         x = a / (a + c)
@@ -164,15 +153,7 @@ def beta_intent(
     scores), I_β with one row per session and the scores a column array
     with one row per node.  Each session is standardized by its own mean
     and std."""
-    _check_rows(segs, e.shape[0])
-    return ad.standardized_readout(e, b, params.w3, segs.starts, segs.last_rows, STD_EPS)
-
-
-def fuse(i_alpha: Tensor, i_beta: Tensor, lam: float) -> Tensor:
-    """Convex combination I = λ I_α + (1−λ) I_β, one op."""
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigurationError(f"lambda must lie in [0, 1], got {lam}")
-    return ad.mix(i_alpha, i_beta, lam)
+    return ad.standardized_readout(e, b, params.w3, segs, STD_EPS)
 
 
 def compute_intent(
@@ -209,5 +190,5 @@ def compute_intent(
     elif lam <= 0.0:
         result.i = result.i_beta
     else:
-        result.i = fuse(result.i_alpha, result.i_beta, lam)
+        result.i = ad.mix(result.i_alpha, result.i_beta, lam)
     return result

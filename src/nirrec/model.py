@@ -46,7 +46,7 @@ from .errors import (
     NonFiniteError,
     TrainingError,
 )
-from .ingest import PreparedData
+from .ingest import PreparedData, is_integer
 from .intent import IntentParams, IntentResult, compute_intent, init_intent
 from .sessiongraph import GraphUnion, build_graph, union_graphs
 from .zeroshot import ThetaParams, init_theta, l_zero, theta_forward
@@ -94,8 +94,12 @@ class TrainConfig:
             raise ConfigurationError(f"lambda must lie in [0, 1], got {self.lambda_}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigurationError(f"gamma must lie in [0, 1], got {self.gamma}")
+        for name in ("d", "d_a", "h", "t_steps", "epochs", "batch_size", "seed", "beta_seed",
+                     "negatives"):
+            if not is_integer(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("d", "d_a", "t_steps", "epochs", "batch_size", "negatives"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.h < 0:
             raise ConfigurationError(f"h must be non-negative, got {self.h}")
@@ -105,8 +109,8 @@ class TrainConfig:
             raise ConfigurationError(
                 f"candidate_mode must be full_vocab or sampled, got {self.candidate_mode!r}"
             )
-        if not self.eval_ks or any(int(k) < 1 for k in self.eval_ks):
-            raise ConfigurationError(f"eval_ks must be positive, got {self.eval_ks}")
+        if not self.eval_ks or not all(is_integer(k) and k >= 1 for k in self.eval_ks):
+            raise ConfigurationError(f"eval_ks must be positive integers, got {self.eval_ks}")
         self.eval_ks = tuple(int(k) for k in self.eval_ks)
 
     @property

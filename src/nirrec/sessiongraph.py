@@ -13,7 +13,9 @@ are reconnected in their original order.
 
 A chunk of sessions is run as one graph, the disjoint union of theirs:
 their nodes stacked in session order under block-diagonal adjacency, so
-no message crosses from one session into another.  A single session is a
+no message crosses from one session into another, and a
+:class:`nirrec.autodiff.Segments` that says which rows are whose and
+anchors each session on its last history item.  A single session is a
 chunk of one.
 """
 
@@ -24,7 +26,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, IngestionError
+from .autodiff import Segments
+from .errors import IngestionError
 
 ItemId = Hashable
 
@@ -133,51 +136,14 @@ def build_graph(
     )
 
 
-
-class Segments:
-    """Which rows of a chunk's stacked node arrays belong to which session.
-
-    Session r owns the contiguous rows ``starts[r]`` up to the next start
-    (the last session up to ``n``), ``lengths[r]`` of them, and its most
-    recent history item sits in row ``last_rows[r]``.  The intent ops of
-    :mod:`nirrec.autodiff` take ``starts`` and ``last_rows``: they sum each
-    session's rows with ``np.add.reduceat`` over ``starts`` and gather its
-    anchor row by ``last_rows``, so no session's value leaks into
-    another's, and nothing here grows with sessions × rows.
-    """
-
-    def __init__(self, starts: Sequence[int], last_rows: Sequence[int], n: int) -> None:
-        self.starts = np.asarray(starts, dtype=np.int64)
-        self.last_rows = np.asarray(last_rows, dtype=np.int64)
-        self.n = int(n)
-        if self.starts.ndim != 1 or not self.starts.size or self.starts[0] != 0:
-            raise DimensionError(f"segments must start at row 0, got starts {self.starts.tolist()}")
-        self.lengths = np.empty_like(self.starts)
-        self.lengths[:-1] = self.starts[1:] - self.starts[:-1]
-        self.lengths[-1] = self.n - self.starts[-1]
-        if self.lengths.min() < 1:
-            raise DimensionError(
-                f"segments must be non-empty, got starts {self.starts.tolist()} over {n} rows"
-            )
-        offset = self.last_rows - self.starts
-        bad = (offset < 0) | (offset >= self.lengths)
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise DimensionError(
-                f"last_index {int(offset[r])} out of range for {int(self.lengths[r])} nodes"
-            )
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-
 @dataclass
 class GraphUnion:
     """The disjoint union of a chunk's session graphs.
 
     ``nodes`` stacks each graph's nodes in session order, ``adj_out`` and
     ``adj_in`` hold each graph's matrix as a diagonal block, and
-    ``segments`` says which rows are whose.
+    ``segments`` says which rows are whose, each session anchored on the
+    row of its most recent history item.
     """
 
     nodes: list[ItemId]
@@ -204,5 +170,5 @@ def union_graphs(graphs: Sequence[SessionGraph]) -> GraphUnion:
         nodes=[item for g in graphs for item in g.nodes],
         adj_out=adj_out,
         adj_in=adj_in,
-        segments=Segments(starts, starts + [g.last_index for g in graphs], n),
+        segments=Segments(starts, n, starts + [g.last_index for g in graphs]),
     )

@@ -19,7 +19,7 @@ from nirrec.evaluate import EvalOptions, evaluate
 from nirrec.ingest import EncodedSession, prepare
 from nirrec.intent import compute_intent, init_intent
 from nirrec.model import chunk_slices, init_params, session_loss, train
-from nirrec.sessiongraph import Segments, build_graph, union_graphs
+from nirrec.sessiongraph import build_graph, union_graphs
 
 from test_model import small_cfg, tiny_data
 
@@ -109,11 +109,21 @@ class TestGraphUnion:
         np.testing.assert_array_equal(union.adj_in, want_in)
 
     def test_invalid_segments_rejected(self):
-        for starts, last in (([1], [1]), ([0, 0], [0, 0]), ([0, 4], [0, 4])):
+        """Every malformed layout raises DimensionError when it is built:
+        a first start other than 0, an empty or uncovered segment, starts
+        out of order or not 1-d, and an anchor outside its own segment or
+        missing.  The arrays are read-only."""
+        for starts in ([1], [0, 0], [0, 4], [0, 3, 2], [0, 5], [], [[0], [2]]):
             with pytest.raises(DimensionError):
-                Segments(starts, last, 4)
-        with pytest.raises(DimensionError, match="last_index 2 out of range for 2 nodes"):
-            Segments([0, 2], [0, 4], 4)
+                ad.Segments(starts, 4)
+        for last in ([0, 4], [2, 3], [-1, 2], [0], [0, 2, 3]):
+            with pytest.raises(DimensionError, match="one last row inside each segment"):
+                ad.Segments([0, 2], 4, last)
+        segs = ad.Segments([0, 2], 4, [1, 3])
+        for arr in (segs.starts, segs.lengths, segs.last_rows):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        assert len(ad.Segments([], 0)) == 0
 
     def test_ggnn_on_the_union_equals_each_graph_alone(self):
         rng = np.random.default_rng(3)
@@ -143,7 +153,7 @@ class TestChunkMemory:
         params = init_intent(d, Rng(0, "intent"))
         tracemalloc.start()
         try:
-            segs = Segments(starts, last_rows, n)
+            segs = ad.Segments(starts, n, last_rows)
             with ad.Tape() as tape:
                 result = compute_intent(v, t, segs, params, 0.5, beta_mode="mean")
                 tape.backward(ad.reduce_sum(result.i))

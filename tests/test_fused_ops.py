@@ -35,7 +35,7 @@ from nirrec.intent import (
     init_intent,
 )
 from nirrec.model import init_params
-from nirrec.sessiongraph import Segments, build_graph, union_graphs
+from nirrec.sessiongraph import build_graph, union_graphs
 
 from test_model import small_cfg, tiny_data
 from test_tensor_ops import numeric_grad
@@ -407,7 +407,7 @@ def intent_chain(v, t, segs, params, lam, rngs=None, mode="sample", draws=None):
         b = ad.clamp_min(ad.exp(ad.log_beta_density(a, c, x)), PDF_FLOOR)
         scaled = ad.mul(ad.reshape(b, (segs.n, 1)), e)
         shift = ad.matmul(last_minus_mean, scaled)
-        s = ad.reshape(ad.add(ad.segment_std(b, segs.starts), STD_EPS), (len(segs), 1))
+        s = ad.reshape(ad.add(ad.segment_std(b, segs), STD_EPS), (len(segs), 1))
         standardized = ad.div(ad.add(scaled, ad.matmul(spread, shift)), ad.matmul(spread, s))
         scores = ad.matmul(standardized, params.w3)
         i_beta = ad.matmul(member, ad.mul(scores, e))
@@ -432,7 +432,7 @@ def intent_case(seed, sizes=(3, 1, 4, 2), offsets=(1, 0, 3, 0)):
     rng = np.random.default_rng(seed)
     starts = np.cumsum([0, *sizes[:-1]])
     n = int(sum(sizes))
-    segs = Segments(starts, starts + np.array(offsets), n)
+    segs = ad.Segments(starts, n, starts + np.array(offsets))
     v = Tensor(rng.normal(0, 0.6, size=(n, D)), requires_grad=True)
     t = Tensor(rng.normal(0, 0.6, size=(n, D)), requires_grad=True)
     params = init_intent(D, Rng(seed, "intent"))
@@ -499,7 +499,7 @@ class TestIntentOps:
         """The chunk's single-node session standardizes by ε alone."""
         segs, v, t, params, draws = intent_case(0)
         b, _, _ = beta_weights(v, t, segs, mode="fixed", draws=draws)
-        assert ad.segment_std(b, segs.starts).data[1] == 0.0
+        assert ad.segment_std(b, segs).data[1] == 0.0
 
     def test_finite_differences_for_every_input(self):
         """v, t, W1, W2 and W3 at λ = 0.3 with fixed draws, on a chunk whose
@@ -556,9 +556,9 @@ class TestIntentOps:
         chain's segment_std did."""
         e = Tensor(np.ones((2, 2)))
         b = np.array([1e300, -1e300])
-        segs = Segments([0], [1], 2)
+        segs = ad.Segments([0], 2, [1])
         with pytest.raises(NonFiniteError, match="std"):
-            ad.standardized_readout(e, b, np.ones((2, 1)), segs.starts, segs.last_rows, STD_EPS)
+            ad.standardized_readout(e, b, np.ones((2, 1)), segs, STD_EPS)
 
     def test_beta_density_is_exp_of_log_density(self):
         a0, c0, x = beta_inputs(0)
@@ -583,43 +583,44 @@ class TestIntentOps:
         segs, v, t, params, _ = intent_case(0)
         e = ad.concat([v, t])
         with pytest.raises(DimensionError, match="weights"):
-            ad.attention_readout(e, params.w1.data[1:], params.w2, segs.starts, segs.last_rows)
+            ad.attention_readout(e, params.w1.data[1:], params.w2, segs)
         with pytest.raises(DimensionError, match="weights"):
-            ad.standardized_readout(
-                e, np.ones(segs.n), params.w3.data[1:], segs.starts, segs.last_rows, STD_EPS
-            )
+            ad.standardized_readout(e, np.ones(segs.n), params.w3.data[1:], segs, STD_EPS)
         with pytest.raises(DimensionError):
             ad.beta_shapes(v, t.data[1:])
         with pytest.raises(DimensionError):
             ad.beta_density(np.ones((3, segs.n)), np.full(segs.n, 0.5))
 
-    @pytest.mark.parametrize("op", ["attention_readout", "standardized_readout"])
+    @pytest.mark.parametrize(
+        "op", ["attention_readout", "standardized_readout", "segment_std", "segment_mean"]
+    )
     def test_row_layout_errors(self, op):
         """Sessions of 3, 1, 4 and 2 rows, starting at rows 0, 3, 4 and 8 of
-        10: a last row outside its own session, starts that do not cover
-        the 10 rows, and a last row missing all raise DimensionError."""
+        10: each op raises DimensionError for segments over another row
+        count, and a readout for segments without last rows.  A malformed
+        layout fails earlier, when its Segments is built
+        (test_chunks.TestGraphUnion)."""
         segs, v, t, params, _ = intent_case(0)
         e = ad.concat([v, t])
-        if op == "attention_readout":
-            def readout(starts, last_rows):
-                return ad.attention_readout(e, params.w1, params.w2, starts, last_rows)
-        else:
-            def readout(starts, last_rows):
-                return ad.standardized_readout(
-                    e, np.ones(segs.n), params.w3, starts, last_rows, STD_EPS
-                )
+        run = {
+            "attention_readout": lambda s: ad.attention_readout(e, params.w1, params.w2, s),
+            "standardized_readout": lambda s: ad.standardized_readout(
+                e, np.ones(segs.n), params.w3, s, STD_EPS
+            ),
+            "segment_std": lambda s: ad.segment_std(np.ones(segs.n), s),
+            "segment_mean": lambda s: ad.segment_mean(np.ones((3, 2)), np.zeros(segs.n, int), s),
+        }[op]
         np.testing.assert_array_equal(segs.starts, [0, 3, 4, 8])
-        readout(segs.starts, segs.last_rows)
-        for last_rows in ([3, 3, 7, 8], [1, 3, 7, 10], [1, 3, 8, 8], [-1, 3, 7, 8]):
-            with pytest.raises(DimensionError, match="one last row inside each segment"):
-                readout(segs.starts, last_rows)
-        for starts in ([0, 3, 4, 10], [0, 3, 4, 12], [1, 3, 4, 8], [0, 4, 3, 8]):
-            with pytest.raises(DimensionError, match="non-empty over 10 rows"):
-                readout(starts, [1, 3, 7, 8])
-        with pytest.raises(DimensionError, match="one last row inside each segment"):
-            readout(segs.starts, [1, 3, 7])
-        with pytest.raises(DimensionError, match="segment starts"):
-            readout([], [])
+        run(segs)
+        for other in (ad.Segments([0, 3, 4, 8], 11, [1, 3, 7, 8]), ad.Segments([0, 3], 4, [0, 3])):
+            with pytest.raises(DimensionError, match=f"{op}: segments over {other.n} rows given 10"):
+                run(other)
+        unanchored = ad.Segments(segs.starts, segs.n)
+        if op.endswith("readout"):
+            with pytest.raises(DimensionError, match="without last rows"):
+                run(unanchored)
+        else:
+            run(unanchored)
 
 
 class TestRequestPathSize:

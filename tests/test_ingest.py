@@ -435,7 +435,7 @@ class TestPrepareOptions:
     input is read, each error naming its key."""
 
     def test_levels_must_decrease(self):
-        for levels in ((3, 3, 1), (1, 2, 3), (3, 2, 0), (3, 2), (3.5, 2, 1)):
+        for levels in ((3, 3, 1), (1, 2, 3), (3, 2, 0), (3, 2), (3.5, 2, 1), (3, 2, True)):
             with pytest.raises(ConfigurationError, match="levels .*k1 > k2 > k3"):
                 PrepareOptions(levels=levels)
 
@@ -444,10 +444,15 @@ class TestPrepareOptions:
         with pytest.raises(ConfigurationError, match="boundary_days"):
             PrepareOptions(boundary_days=days)
 
-    @pytest.mark.parametrize("dim", [0, -2])
+    @pytest.mark.parametrize("dim", [0, -2, 2.5, True])
     def test_label_vector_dim_must_be_positive(self, dim):
         with pytest.raises(ConfigurationError, match="label_vector_dim"):
             PrepareOptions(label_vector_dim=dim)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            PrepareOptions(seed=seed)
 
 
 class TestEncodeAttributes:

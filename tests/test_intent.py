@@ -15,13 +15,10 @@ from nirrec.intent import (
     IntentParams,
     alpha_intent,
     beta_intent,
-    beta_shape_params,
     beta_weights,
     compute_intent,
-    fuse,
     init_intent,
 )
-from nirrec.sessiongraph import Segments
 
 D = 4
 
@@ -71,7 +68,7 @@ def random_nodes(rng, n):
 def one(n, last):
     """The segments of a single session over ``n`` rows, last item in row
     ``last``."""
-    return Segments([0], [last], n)
+    return ad.Segments([0], n, [last])
 
 
 def toy_params(seed=0):
@@ -150,7 +147,7 @@ class TestBetaWeights:
         x = entry_for_shape(1.0)
         v = Tensor(np.full((3, D), x))
         t = Tensor(np.full((3, D), x))
-        a, c = beta_shape_params(v, t).data
+        a, c = ad.beta_shapes(v, t).data
         np.testing.assert_allclose(a, 1.0, rtol=1e-12)
         np.testing.assert_allclose(c, 1.0, rtol=1e-12)
         b, _, clamped = beta_weights(v, t, one(3, 2), rng=[Rng(0, "u")], mode="sample")
@@ -161,7 +158,7 @@ class TestBetaWeights:
         """a=2, c=3, x=0.5: δ = Γ(5)/(Γ(2)Γ(3)) = 12 and b = 12·0.5·0.25 = 1.5."""
         v = Tensor(np.full((2, D), entry_for_shape(2.0)))
         t = Tensor(np.full((2, D), entry_for_shape(3.0)))
-        a, c = beta_shape_params(v, t).data
+        a, c = ad.beta_shapes(v, t).data
         b, x, _ = beta_weights(v, t, one(2, 1), mode="fixed", draws=np.full(2, 0.5))
         np.testing.assert_allclose(a, 2.0, rtol=1e-12)
         np.testing.assert_allclose(c, 3.0, rtol=1e-12)
@@ -173,7 +170,7 @@ class TestBetaWeights:
         rng = np.random.default_rng(3)
         v_arr, t_arr = random_nodes(rng, 6)
         draws = rng.uniform(0.05, 0.95, size=6)
-        a, c = beta_shape_params(Tensor(v_arr), Tensor(t_arr)).data
+        a, c = ad.beta_shapes(Tensor(v_arr), Tensor(t_arr)).data
         b, _, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(6, 5), mode="fixed", draws=draws)
         want = [
             math.exp(
@@ -219,7 +216,7 @@ class TestBetaWeights:
         """Evaluation mode fixes x_i = a_i/(a_i + c_i), no rng needed."""
         rng = np.random.default_rng(6)
         v_arr, t_arr = random_nodes(rng, 4)
-        a, c = beta_shape_params(Tensor(v_arr), Tensor(t_arr)).data
+        a, c = ad.beta_shapes(Tensor(v_arr), Tensor(t_arr)).data
         _, x, _ = beta_weights(Tensor(v_arr), Tensor(t_arr), one(4, 3), mode="mean")
         np.testing.assert_allclose(x, a / (a + c), rtol=1e-14)
 
@@ -297,14 +294,19 @@ class TestComputeIntent:
             np.testing.assert_allclose(scores.ravel(), want_scores, rtol=1e-10, atol=1e-12)
 
     def test_fuse_endpoints_and_midpoint(self):
-        """λ = 1 → I_α; λ = 0 → I_β; λ = 0.5 midpoint of [2,0] and [0,2]."""
+        """λ = 1 → I_α; λ = 0 → I_β; λ = 0.5 midpoint of [2,0] and [0,2];
+        a λ outside [0, 1] is rejected."""
         ia = Tensor([2.0, 0.0])
         ib = Tensor([0.0, 2.0])
-        np.testing.assert_array_equal(fuse(ia, ib, 1.0).data, [2.0, 0.0])
-        np.testing.assert_array_equal(fuse(ia, ib, 0.0).data, [0.0, 2.0])
-        np.testing.assert_array_equal(fuse(ia, ib, 0.5).data, [1.0, 1.0])
-        with pytest.raises(ConfigurationError):
-            fuse(ia, ib, 1.5)
+        np.testing.assert_array_equal(ad.mix(ia, ib, 1.0).data, [2.0, 0.0])
+        np.testing.assert_array_equal(ad.mix(ia, ib, 0.0).data, [0.0, 2.0])
+        np.testing.assert_array_equal(ad.mix(ia, ib, 0.5).data, [1.0, 1.0])
+        v_arr, t_arr = random_nodes(np.random.default_rng(10), 4)
+        for lam in (1.5, -0.5):
+            with pytest.raises(ConfigurationError, match="lambda"):
+                compute_intent(
+                    Tensor(v_arr), Tensor(t_arr), one(4, 1), toy_params(), lam, beta_mode="mean"
+                )
 
     def test_exact_convex_combination(self):
         """Interior λ: I = λ·I_α + (1−λ)·I_β holds exactly."""
@@ -380,7 +382,7 @@ class TestSessionRows:
         v_arr, t_arr = random_nodes(rng, 4)
         e = ad.concat([Tensor(v_arr), Tensor(t_arr)])
         params = toy_params(16)
-        with pytest.raises(DimensionError, match="segments over 3 rows given 4 nodes"):
+        with pytest.raises(DimensionError, match="segments over 3 rows given 4"):
             compute_intent(Tensor(v_arr), Tensor(t_arr), one(3, 2), params, 0.5, beta_mode="mean")
         with pytest.raises(DimensionError):
             alpha_intent(e, one(5, 2), params)
@@ -390,7 +392,7 @@ class TestSessionRows:
     def test_sample_mode_needs_an_rng_per_session(self):
         rng = np.random.default_rng(17)
         v_arr, t_arr = random_nodes(rng, 4)
-        segs = Segments([0, 2], [1, 3], 4)
+        segs = ad.Segments([0, 2], 4, [1, 3])
         for streams in (None, [Rng(0, "a")], [Rng(0, "a"), None]):
             with pytest.raises(ConfigurationError, match="an rng per session"):
                 beta_weights(Tensor(v_arr), Tensor(t_arr), segs, rng=streams)

@@ -795,8 +795,13 @@ class TestConfigValidation:
                 small_cfg(lr=lr)
         with pytest.raises(ConfigurationError, match="candidate_mode"):
             small_cfg(candidate_mode="all")
-        with pytest.raises(ConfigurationError, match="eval_ks"):
-            small_cfg(eval_ks=())
+        for ks in ((), (10.7,), (10, True)):
+            with pytest.raises(ConfigurationError, match="eval_ks"):
+                small_cfg(eval_ks=ks)
+        for name, value in (("epochs", 2.5), ("batch_size", 3.0), ("d", True), ("h", 4.0),
+                            ("seed", 1.0), ("beta_seed", False), ("negatives", 9.5)):
+            with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+                small_cfg(**{name: value})
 
     def test_config_round_trips_to_dict(self):
         cfg = small_cfg(lambda_=0.25, gamma=0.75)

@@ -244,12 +244,11 @@ class TestGradientsMatchFiniteDifferences:
         rng = np.random.default_rng(8)
         x = rng.uniform(-2, 2, size=(5, 3))
         cols = [2, 2, 0, 4, 1, 2, 3, 2]
-        starts = [0, 1, 3, 4, 7]  # segments [2], [2, 0], [4], [1, 2, 3], [2]
-        seg = [0, 1, 1, 2, 3, 3, 3, 4]
+        segs = ad.Segments([0, 1, 3, 4, 7], 8)  # [2], [2, 0], [4], [1, 2, 3], [2]
         w = rng.uniform(-1, 1, size=(5, 3))
 
         def loss(t):
-            out = ad.segment_mean(t, cols, starts, seg)
+            out = ad.segment_mean(t, cols, segs)
             return ad.reduce_sum(ad.tanh(ad.mul(out, ad.Tensor(w))))
 
         check_unary(loss, x, rtol=1e-6)
@@ -258,7 +257,7 @@ class TestGradientsMatchFiniteDifferences:
         """The backward scatters into the table's gradient buffer in place;
         what was there, in either memory order, is kept and added to."""
         rng = np.random.default_rng(10)
-        cols, starts = [1, 0, 1], [0, 2]
+        cols, segs = [1, 0, 1], ad.Segments([0, 2], 3)
         g = rng.normal(size=(2, 3))
         want = np.zeros((3, 3))
         for r, row in enumerate([[1, 0], [1]]):
@@ -268,7 +267,7 @@ class TestGradientsMatchFiniteDifferences:
             table = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
             table.grad = prior.copy(order="K")
             with ad.Tape() as tape:
-                tape.backward(ad.segment_mean(table, cols, starts, [0, 0, 1]), seed=g)
+                tape.backward(ad.segment_mean(table, cols, segs), seed=g)
             np.testing.assert_allclose(table.grad, prior + want, rtol=1e-14)
 
     def test_segment_mean_is_the_weighted_dense_product(self):
@@ -276,14 +275,14 @@ class TestGradientsMatchFiniteDifferences:
         column counting twice: the dense 1/length-weighted matrix product."""
         rng = np.random.default_rng(9)
         table = rng.normal(size=(4, 2))
-        cols, starts = [3, 3, 1, 0, 2, 1], [0, 3, 4]
+        cols, segs = [3, 3, 1, 0, 2, 1], ad.Segments([0, 3, 4], 6)
         dense = np.zeros((3, 4))
         for r, row in enumerate([[3, 3, 1], [0], [2, 1]]):
             for c in row:
                 dense[r, c] += 1.0 / len(row)
-        out = ad.segment_mean(ad.Tensor(table), cols, starts, [0, 0, 0, 1, 2, 2])
+        out = ad.segment_mean(ad.Tensor(table), cols, segs)
         np.testing.assert_allclose(out.data, dense @ table, rtol=1e-14, atol=1e-15)
-        assert ad.segment_mean(ad.Tensor(table), [], [], []).shape == (0, 2)
+        assert ad.segment_mean(ad.Tensor(table), [], ad.Segments([], 0)).shape == (0, 2)
 
     @pytest.mark.parametrize("lengths, n_cols", [
         ([1] * 7, 6),  # rows of length 1
@@ -302,9 +301,8 @@ class TestGradientsMatchFiniteDifferences:
         table = rng.normal(size=(n_cols, 5))
         cols = rng.integers(0, n_cols, size=lengths.sum())
         starts = np.cumsum(lengths) - lengths
-        seg = np.repeat(np.arange(len(lengths)), lengths)
         want = np.add.reduceat(table[cols], starts, axis=0) / lengths[:, None]
-        out = ad.segment_mean(ad.Tensor(table), cols, starts, seg)
+        out = ad.segment_mean(ad.Tensor(table), cols, ad.Segments(starts, lengths.sum()))
         np.testing.assert_allclose(out.data, want, rtol=1e-13, atol=1e-13)
 
     def test_concat_of_sum_gives_ones(self):
@@ -341,7 +339,7 @@ class TestGradientsMatchFiniteDifferences:
         w = rng.uniform(-1, 1, size=3)
 
         def loss(t):
-            return ad.reduce_sum(ad.mul(ad.segment_std(t, [0, 3, 4]), ad.Tensor(w)))
+            return ad.reduce_sum(ad.mul(ad.segment_std(t, ad.Segments([0, 3, 4], 8)), ad.Tensor(w)))
 
         check_unary(loss, x, rtol=1e-6)
         assert analytic_grad(loss, x)[3] == 0.0
@@ -349,7 +347,7 @@ class TestGradientsMatchFiniteDifferences:
     def test_segment_std_is_reduce_std_per_segment(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(-2, 2, size=9)
-        got = ad.segment_std(ad.Tensor(x), [0, 2, 7]).data
+        got = ad.segment_std(ad.Tensor(x), ad.Segments([0, 2, 7], 9)).data
         for r, (lo, hi) in enumerate([(0, 2), (2, 7), (7, 9)]):
             np.testing.assert_allclose(got[r], ad.reduce_std(ad.Tensor(x[lo:hi])).item(), rtol=1e-14)
 
@@ -358,7 +356,7 @@ class TestGradientsMatchFiniteDifferences:
         while the other segment's gradient flows."""
         t = ad.Tensor([2.0, 2.0, 2.0, 1.0, 3.0], requires_grad=True)
         with ad.Tape() as tape:
-            s = ad.segment_std(t, [0, 3])
+            s = ad.segment_std(t, ad.Segments([0, 3], 5))
             tape.backward(ad.reduce_sum(s))
         np.testing.assert_array_equal(s.data, [0.0, 1.0])
         np.testing.assert_array_equal(t.grad, [0.0, 0.0, 0.0, -0.5, 0.5])
@@ -581,10 +579,7 @@ class TestErrorSurfaces:
 
     def test_segment_std_and_masked_cross_entropy_errors(self):
         with pytest.raises(DimensionError):
-            ad.segment_std(ad.Tensor(np.ones((2, 2))), [0])
-        for starts in ([1], [0, 0], [0, 3]):
-            with pytest.raises(DomainError, match="non-empty"):
-                ad.segment_std(ad.Tensor(np.ones(3)), starts)
+            ad.segment_std(ad.Tensor(np.ones((2, 2))), ad.Segments([0], 2))
         logits = ad.Tensor(np.zeros((2, 3)))
         mask = np.array([[1, 1, 0], [0, 1, 1]], dtype=bool)
         with pytest.raises(DomainError, match="outside its row's mask"):
@@ -597,18 +592,13 @@ class TestErrorSurfaces:
             ad.masked_cross_entropy(logits, mask, [0])
 
     def test_segment_mean_errors(self):
-        """Columns must index the table; segments must start at 0, be
-        non-empty and ascend; the table is 2-d and every column has a
-        segment id."""
+        """Columns must index the table, and the table is 2-d; the layout is
+        checked when its Segments is built (test_chunks.TestGraphUnion)."""
         table = ad.Tensor(np.ones((3, 2)))
+        one = ad.Segments([0], 2)
         with pytest.raises(DomainError, match="column 3"):
-            ad.segment_mean(table, [0, 3], [0], [0, 0])
+            ad.segment_mean(table, [0, 3], one)
         with pytest.raises(DomainError, match="column -1"):
-            ad.segment_mean(table, [0, -1], [0], [0, 0])
-        for starts in ([1], [0, 0], [0, 2, 1], [0, 3]):
-            with pytest.raises(DomainError, match="non-empty"):
-                ad.segment_mean(table, [0, 1, 2], starts, [0, 0, 0])
+            ad.segment_mean(table, [0, -1], one)
         with pytest.raises(DimensionError):
-            ad.segment_mean(ad.Tensor(np.ones(3)), [0], [0], [0])
-        with pytest.raises(DimensionError, match="segment id"):
-            ad.segment_mean(table, [0, 1], [0], [0])
+            ad.segment_mean(ad.Tensor(np.ones(3)), [0], ad.Segments([0], 1))
