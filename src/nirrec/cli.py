@@ -38,7 +38,7 @@ from .evaluate import (
     write_plotdata_csv,
     write_rankings_csv,
 )
-from .ingest import PrepareOptions, load_shards, prepare, save_shards
+from .ingest import PrepareOptions, load_shards, prepare, read_utf8, save_shards
 from .model import ABLATIONS, TrainConfig, apply_ablation, config_key, load_params, train
 
 log = logging.getLogger("nirrec")
@@ -85,7 +85,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
     out: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    text = read_utf8(path, ConfigurationError)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         bare = line.split("#", 1)[0].strip()
         if not bare:
             continue

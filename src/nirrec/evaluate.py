@@ -27,7 +27,7 @@ from .model import (
     TrainConfig,
     candidate_ids,
     chunk_slices,
-    forward_chunk,
+    encode_chunk,
     infer_candidate_embeddings,
     score_candidates,
 )
@@ -225,19 +225,21 @@ def evaluate(
     Sessions whose ground truth cannot be scored are skipped and counted
     by reason: ``no_candidates`` (the history covers the catalog) or
     ``gt_not_candidate`` (an unknown ground-truth id, or one in the
-    history).  The kept sessions run in chunks through
-    :func:`nirrec.model.forward_chunk`, with no tape, and each session
-    ranks its candidates' logits in its row of the chunk's intents times
-    the catalog table of :func:`catalog_table`.  The table is mapped once
-    per parameter state, so repeated calls on unchanged parameters and
-    data (one-session recommend requests) map θ once between them.
+    history).  The kept sessions run in chunks, with no tape, and each
+    session ranks its candidates' logits in its row of the chunk's
+    intents times the catalog table of :func:`catalog_table`.  The table
+    is mapped once per parameter state, so repeated calls on unchanged
+    parameters and data (one-session recommend requests) map θ once
+    between them.
 
     ``mean`` mode ranks once and depends only on (params, data, config).
     ``sampled`` mode ranks ``ev.repeats`` times, pass r drawing each
     session's attention from ``Rng(cfg.seed, "eval-sample", r)`` derived
     by session id; P@k and MRR@k are the mean over the passes, ``p_std``
     and ``mrr_std`` their population std, and ``results`` hold the first
-    pass's rankings.
+    pass's rankings.  Either way :func:`nirrec.model.encode_chunk` builds
+    each chunk's graphs and runs its GGNN once per call; the passes
+    redraw only the Beta points and score again.
     """
     ev = ev or EvalOptions()
     if not data.test:
@@ -258,31 +260,28 @@ def evaluate(
     skipped = sum(reasons.values())
     if not kept:
         raise EvaluationError(f"all {skipped} test sessions were skipped")
-    chunks = [kept[part] for part in chunk_slices([sess.history for sess, _ in kept])]
     # One attention stream per pass; None is the Beta-mean pass.
     if ev.eval_mode == "mean":
         passes = [None]
     else:
         passes = [Rng(cfg.seed, "eval-sample", r) for r in range(ev.repeats)]
-    runs: list[list[RankedResult]] = []
-    for rng in passes:
-        results = []
-        for chunk in chunks:
-            fwd = forward_chunk(
-                [sess.history for sess, _ in chunk],
-                params,
-                data,
-                cfg.lambda_,
-                rngs=None if rng is None else [rng.derive(sess.session_id) for sess, _ in chunk],
+    runs: list[list[RankedResult]] = [[] for _ in passes]
+    for part in chunk_slices([sess.history for sess, _ in kept]):
+        chunk = kept[part]
+        enc = encode_chunk(
+            [sess.history for sess, _ in chunk], params, data, cfg.propagate_taxonomy,
+            [sess.session_id for sess, _ in chunk],
+        )
+        for rng, results in zip(passes, runs):
+            intent = enc.intent(
+                params, cfg.lambda_,
+                rng=None if rng is None else [rng.derive(sess.session_id) for sess, _ in chunk],
                 beta_mode="mean" if rng is None else "sample",
-                propagate_taxonomy=cfg.propagate_taxonomy,
-                session_ids=[sess.session_id for sess, _ in chunk],
             )
             # Rank the logits: softmax rounding can tie candidates they order.
-            logits = score_candidates(fwd.i, params.w_proj, emb).data
+            logits = score_candidates(intent.i, params.w_proj, emb).data
             for (sess, cand), row in zip(chunk, logits):
                 results.append(_rank_ids(sess.session_id, cand, row[cand - 1], sess.gt))
-        runs.append(results)
     p = {
         k: [precision_at_k(run, k, strict=ev.strict_precision) for run in runs]
         for k in cfg.eval_ks

@@ -57,19 +57,41 @@ def _string_list(value, where: str, key: str) -> list[str]:
     return value
 
 
+def read_utf8(path: Path, error: type[Exception] = IngestionError) -> str:
+    """The text of ``path``; bytes that are not UTF-8 raise ``error``
+    naming the file and the offset of the first such byte."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text at byte {e.start} ({e.reason})") from e
+
+
+def _text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each non-blank line of a UTF-8 text
+    file, read one line at a time."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line
+    except UnicodeDecodeError as e:
+        # A text-mode read reports the offset within the block it was
+        # decoding; read_utf8 names the file's own.
+        read_utf8(path)
+        raise IngestionError(f"{path}: not UTF-8 text") from e
+
+
 def _json_lines(path: Path) -> Iterator[tuple[str, object]]:
     """``(where, object)`` for each non-blank line of a JSON-lines file,
     read one line at a time; ``where`` is ``path:line``."""
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise IngestionError(f"{where}: invalid JSON ({e.msg})") from e
-            yield where, obj
+    for lineno, line in _text_lines(path):
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise IngestionError(f"{where}: invalid JSON ({e.msg})") from e
+        yield where, obj
 
 
 def load_sessions(path: str | Path) -> tuple[list[Session], dict[str, int]]:
@@ -287,25 +309,22 @@ def load_vector_file(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
         raise IngestionError(f"vector file not found: {path}")
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise IngestionError(f"{path}:{lineno}: expected 'token v1 v2 …'")
-            token = parts[0]
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as e:
-                raise IngestionError(f"{path}:{lineno}: non-numeric vector component") from e
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise IngestionError(
-                    f"{path}:{lineno}: vector has {vec.size} components, expected {dim}"
-                )
-            vectors[token] = vec
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if len(parts) < 2:
+            raise IngestionError(f"{path}:{lineno}: expected 'token v1 v2 …'")
+        token = parts[0]
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError as e:
+            raise IngestionError(f"{path}:{lineno}: non-numeric vector component") from e
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise IngestionError(
+                f"{path}:{lineno}: vector has {vec.size} components, expected {dim}"
+            )
+        vectors[token] = vec
     if dim is None:
         raise IngestionError(f"{path}: vector file is empty")
     return vectors, dim
@@ -745,7 +764,7 @@ def load_shards(shard_dir: str | Path) -> PreparedData:
     if not index_path.exists() or not bin_path.exists():
         raise IngestionError(f"{shard_dir} is not a shard directory (missing index or container)")
     try:
-        index = json.loads(index_path.read_text(encoding="utf-8"))
+        index = json.loads(read_utf8(index_path))
     except json.JSONDecodeError as e:
         raise IngestionError(f"{index_path}: invalid JSON ({e.msg})") from e
     missing = [key for key in INDEX_KEYS if key not in index]

@@ -24,8 +24,10 @@ and the :class:`nirrec.autodiff.Segments` that say which rows are whose
 and where each session's last item sits: every sum, mean, std and
 last-item anchor above is taken over each session's own rows, each
 session draws from its own stream, and every intent has one row per
-session.  A single session is a chunk of one
-(:func:`nirrec.model.forward` turns its row into a vector).
+session.  A single session is a chunk of one.  :func:`compute_intent`
+is the part of a chunk's pass that the Beta draw enters; it reads the
+node embeddings of :func:`nirrec.model.encode_chunk`, so passes that
+redraw the Beta points share one encoding.
 
 Each step is one autodiff op with a hand-derived backward: the α branch
 is one :func:`nirrec.autodiff.attention_readout`, the Beta shapes one

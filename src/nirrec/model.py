@@ -18,8 +18,12 @@ items be scored through the same theta map at recommendation time.
 
 Sessions run in chunks: the disjoint union of a chunk's session graphs
 goes through the pipeline as one graph, with one intent row, one logit
-row and one loss term per session.  A single session is a chunk of one;
-:func:`forward` is the one wrapper that returns its intent as a vector.
+row and one loss term per session.  A chunk's pass splits where the
+Beta draw enters: :func:`encode_chunk` builds the graphs, their union and
+the node embeddings, which depend on the histories alone, and
+:meth:`EncodedChunk.intent` draws the β attention and fuses the intents,
+so sampled evaluation encodes a chunk once for all its passes.  A single
+session is a chunk of one.
 """
 
 from __future__ import annotations
@@ -211,7 +215,13 @@ def _bytes_to_vector(raw: bytes) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
 
 
-def _vector_to_bytes(vec: np.ndarray) -> bytes:
+def _vector_to_bytes(vec: np.ndarray, path: str | Path, entry: str) -> bytes:
+    """The bytes a metadata entry stores, one per value; a value that is
+    not an integer in 0–255 is an EvaluationError, not a wrapped cast."""
+    if not np.all((vec >= 0) & (vec <= 255) & (vec == np.round(vec))):
+        raise EvaluationError(
+            f"checkpoint {path}: {entry!r} holds values that are not integers in 0-255"
+        )
     return vec.astype(np.uint8).tobytes()
 
 
@@ -257,9 +267,10 @@ def init_params(data: PreparedData, cfg: TrainConfig) -> ModelParams:
 def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, TrainConfig]:
     """Load a checkpoint into the model :func:`init_params` builds for its
     stored config, and return it with that :class:`TrainConfig`.  Every
-    fault (unreadable container, missing metadata, a vocabulary other than
-    ``data``'s, a tensor that is missing, unknown to the model, differently
-    shaped or not finite) is an EvaluationError."""
+    fault (unreadable container, missing metadata or metadata values that
+    are not bytes, a vocabulary other than ``data``'s, a tensor that is
+    missing, unknown to the model, differently shaped or not finite) is an
+    EvaluationError."""
     try:
         raw = load_tensors(path)
     except IngestionError as e:
@@ -268,11 +279,12 @@ def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, Trai
     if missing:
         raise EvaluationError(f"checkpoint {path} is missing tensors {missing}")
     try:
-        cfg = TrainConfig.from_dict(json.loads(_vector_to_bytes(raw[CONFIG_ENTRY])))
+        config = _vector_to_bytes(raw[CONFIG_ENTRY], path, CONFIG_ENTRY)
+        cfg = TrainConfig.from_dict(json.loads(config))
     except (ValueError, KeyError, TypeError, ConfigurationError) as e:
         raise EvaluationError(f"checkpoint {path} has an unreadable config: {e}") from e
     params = init_params(data, cfg)
-    if _vector_to_bytes(raw[DIGEST_ENTRY]) != params.vocab_digest:
+    if _vector_to_bytes(raw[DIGEST_ENTRY], path, DIGEST_ENTRY) != params.vocab_digest:
         raise EvaluationError(
             f"checkpoint {path} was trained on other item, taxonomy or attribute "
             "vocabularies than the shards"
@@ -329,42 +341,45 @@ def chunk_slices(histories: Sequence[Sequence[int]]) -> Iterator[slice]:
 
 
 @dataclass
-class ForwardResult:
+class EncodedChunk:
+    """A chunk up to the Beta draw: the union of its session graphs and
+    its node embeddings ``v`` and ``t``.  They depend on the histories
+    alone, so one encoding serves every pass of sampled attention."""
+
     graph: GraphUnion
     v: Tensor
     t: Tensor
-    intent: IntentResult
-    # The fused intent, one row per session; a vector from forward().
-    i: Tensor
+
+    def intent(
+        self, params: ModelParams, lam: float, rng: Sequence[Rng] | None = None,
+        beta_mode: str = "sample", draws: np.ndarray | None = None,
+    ) -> IntentResult:
+        """The fused intent, one row per session, under each session's Beta
+        stream ``rng`` ("sample" mode) or every node's ``draws`` ("fixed")."""
+        return compute_intent(
+            self.v, self.t, self.graph.segments, params.intent, lam,
+            rng=rng, beta_mode=beta_mode, draws=draws,
+        )
 
 
-def forward_chunk(
-    histories: Sequence[list[int]],
-    params: ModelParams,
-    data: PreparedData,
-    lam: float,
-    rngs: Sequence[Rng] | None = None,
-    beta_mode: str = "sample",
-    propagate_taxonomy: bool = False,
-    session_ids: Sequence[str] | None = None,
-    draws: Sequence[np.ndarray] | None = None,
-) -> ForwardResult:
-    """Session graphs -> their union -> node embeddings -> one fused
-    intent row per session.
-
-    ``rngs`` holds each session's Beta stream ("sample" mode), ``draws``
-    each session's fixed per-node draws ("fixed" mode).
-    """
+def encode_chunk(
+    histories: Sequence[list[int]], params: ModelParams, data: PreparedData,
+    propagate_taxonomy: bool = False, session_ids: Sequence[str] | None = None,
+) -> EncodedChunk:
+    """Session graphs -> their union -> node embeddings."""
     ids = session_ids if session_ids is not None else [""] * len(histories)
     graph = union_graphs([build_graph(h, session_id=sid) for h, sid in zip(histories, ids)])
     v, t = embed_session(
         graph, params.encoder, data.tax_paths, propagate_taxonomy=propagate_taxonomy
     )
-    intent = compute_intent(
-        v, t, graph.segments, params.intent, lam, rng=rngs, beta_mode=beta_mode,
-        draws=None if draws is None else np.concatenate(draws),
-    )
-    return ForwardResult(graph=graph, v=v, t=t, intent=intent, i=intent.i)
+    return EncodedChunk(graph, v, t)
+
+
+@dataclass
+class ForwardResult:
+    # Kept only for perfbench/checks.py: the intent, and its row as a vector.
+    intent: IntentResult
+    i: Tensor
 
 
 def forward(
@@ -378,18 +393,15 @@ def forward(
     session_id: str = "",
     draws: np.ndarray | None = None,
 ) -> ForwardResult:
-    """The single-session wrapper: :func:`forward_chunk` of one session,
-    with its intent row ``i`` returned as a vector.
+    """One session encoded as a chunk of one, with its intent row
+    returned as a vector.
 
     ``draws`` replays fixed per-node Beta draws (beta_mode="fixed"), which
     keeps the stochastic branch exactly reproducible for gradient checks.
     """
-    fwd = forward_chunk(
-        [history], params, data, lam, rngs=[rng], beta_mode=beta_mode,
-        propagate_taxonomy=propagate_taxonomy, session_ids=[session_id],
-        draws=None if draws is None else [draws],
-    )
-    return replace(fwd, i=ad.reshape(fwd.i, (fwd.i.shape[1],)))
+    enc = encode_chunk([history], params, data, propagate_taxonomy, [session_id])
+    intent = enc.intent(params, lam, rng=[rng], beta_mode=beta_mode, draws=draws)
+    return ForwardResult(intent=intent, i=ad.reshape(intent.i, (intent.i.shape[1],)))
 
 
 def candidate_ids(n_items: int, history: list[int], gt: int | None = None) -> np.ndarray:
@@ -488,13 +500,12 @@ def session_loss(
     """
     if isinstance(gt, (int, np.integer)):
         history, gt, rng, session_id = [history], [gt], [rng], [session_id]
-        draws = None if draws is None else [draws]
         neg_rng = [neg_rng]
         cand = None if cand is None else [cand]
-    fwd = forward_chunk(
-        history, params, data, cfg.lambda_, rngs=rng, beta_mode=beta_mode,
-        propagate_taxonomy=cfg.propagate_taxonomy, session_ids=session_id, draws=draws,
-    )
+    elif draws is not None:
+        draws = np.concatenate(draws)
+    enc = encode_chunk(history, params, data, cfg.propagate_taxonomy, session_id)
+    intent = enc.intent(params, cfg.lambda_, rng=rng, beta_mode=beta_mode, draws=draws)
     if cand is None:
         negs = neg_rng or [None] * len(gt)
         cand = [
@@ -508,21 +519,20 @@ def session_loss(
     # Score every table row, then mask each session's row down to its
     # candidates: cheaper than gathering, and scattering back, their
     # embedding rows.
-    logits = score_candidates(fwd.i, params.w_proj, emb)
+    logits = score_candidates(intent.i, params.w_proj, emb)
     mask = np.zeros(logits.shape, dtype=bool)
     for r, c in enumerate(cand):
         mask[r, np.searchsorted(rows, c)] = True
     ce = ad.reduce_sum(ad.masked_cross_entropy(logits, mask, np.searchsorted(rows, gt)))
-    clamped = fwd.intent.clamped
 
     if cfg.gamma >= 1.0:
-        return SessionLossParts(ce, float(ce.data), 0.0, clamped)
+        return SessionLossParts(ce, float(ce.data), 0.0, intent.clamped)
 
-    nodes = np.asarray(fwd.graph.nodes, dtype=np.int64)
+    nodes = np.asarray(enc.graph.nodes, dtype=np.int64)
     atr = ad.segment_mean(params.attr_table, *data.attr_matrix.gather(nodes))
-    lz = l_zero(fwd.v, atr, params.theta)
+    lz = l_zero(enc.v, atr, params.theta)
     loss = ad.mix(ce, lz, cfg.gamma)
-    return SessionLossParts(loss, float(ce.data), float(lz.data), clamped)
+    return SessionLossParts(loss, float(ce.data), float(lz.data), intent.clamped)
 
 
 # ---------------------------------------------------------------------------

@@ -251,13 +251,13 @@ class TestChunkedEvaluate:
         params = train(data, cfg).params
         ev = EvalOptions("sampled", 1) if beta_mode == "sample" else EvalOptions()
         sizes = []
-        real = model_mod.forward_chunk
+        real = model_mod.encode_chunk
 
         def counting(histories, *args, **kwargs):
             sizes.append(len(histories))
             return real(histories, *args, **kwargs)
 
-        monkeypatch.setattr("nirrec.evaluate.forward_chunk", counting)
+        monkeypatch.setattr("nirrec.evaluate.encode_chunk", counting)
         chunked = evaluate(params, data, cfg, ev)
         assert max(sizes) > 1
         sizes.clear()
@@ -268,3 +268,33 @@ class TestChunkedEvaluate:
         for a, b in zip(chunked.results, alone.results):
             assert a.session_id == b.session_id and a.gt_rank == b.gt_rank
             np.testing.assert_array_equal(a.ranking, b.ranking)
+
+    def test_sampled_passes_encode_each_chunk_once(self, tmp_path, monkeypatch):
+        """Only the Beta draw differs between passes: under three sampled
+        passes the encoder runs once per chunk, as in mean mode, and the
+        intent step three times.  The counters wrap the names in
+        ``nirrec.model`` that the benchmark's tracer wraps."""
+        data = prepare(*write_toy_dataset(tmp_path))
+        cfg = small_cfg(epochs=1, batch_size=8)
+        params = train(data, cfg).params
+        calls = {"embed_session": 0, "compute_intent": 0}
+
+        def counted(name):
+            real = getattr(model_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(model_mod, name, counted(name))
+        monkeypatch.setattr(model_mod, "CHUNK_NODES", 8)
+        chunks = len(list(chunk_slices([sess.history for sess in data.test])))
+        assert chunks > 1
+        assert evaluate(params, data, cfg).skipped == 0
+        assert calls == {"embed_session": chunks, "compute_intent": chunks}
+        calls.update(dict.fromkeys(calls, 0))
+        evaluate(params, data, cfg, EvalOptions("sampled", 3))
+        assert calls == {"embed_session": chunks, "compute_intent": 3 * chunks}

@@ -15,9 +15,9 @@ import nirrec.cli as cli
 from nirrec.autodiff import load_tensors, save_tensors
 from nirrec.cli import DEFAULT_SWEEP_VALUES, main, parse_config_file
 from nirrec.datagen import write_toy_dataset
-from nirrec.errors import ConfigurationError, EvaluationError, TrainingError
+from nirrec.errors import ConfigurationError, EvaluationError, IngestionError, TrainingError
 from nirrec.evaluate import EvalOptions, evaluate, write_rankings_csv
-from nirrec.ingest import PrepareOptions, load_shards
+from nirrec.ingest import PrepareOptions, load_sessions, load_shards
 from nirrec.model import TrainConfig, load_params
 from nirrec.model import train as real_train
 
@@ -231,6 +231,53 @@ class TestExitCodes:
         assert main(["prepare", str(small_sess), str(small_cat), "--out", str(shards2)]) == 0
         argv = ["eval", str(shards2), str(checkpoint), "--out", str(tmp_path / "e")]
         assert main(argv) == 4
+
+    @pytest.mark.parametrize("which", ["sessions", "catalog", "vectors"])
+    def test_input_not_utf8_returns_two_naming_file_and_offset(
+        self, corpus, tmp_path, capsys, which
+    ):
+        """A file that starts with the bytes ff fe (a UTF-16 mark) is an
+        ingestion fault at byte 0, not a UnicodeDecodeError."""
+        sessions, catalog = corpus
+        paths = {"sessions": Path(sessions), "catalog": Path(catalog)}
+        paths["vectors"] = write_token_vectors(tmp_path / "tokens.vec", catalog)
+        bad = tmp_path / f"bad-{which}"
+        bad.write_bytes(b"\xff\xfe" + paths[which].read_bytes())
+        paths[which] = bad
+        argv = ["prepare", str(paths["sessions"]), str(paths["catalog"]),
+                "--vectors", str(paths["vectors"]), "--out", str(tmp_path / "s")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text at byte 0" in err
+
+    def test_decode_fault_names_the_byte_offset_past_the_first_block(self, corpus, tmp_path):
+        """The offset is the file's, not that of the block a text-mode read
+        was decoding."""
+        sessions, _ = corpus
+        text = Path(sessions).read_bytes() + b"\n" * 10_000
+        bad = tmp_path / "late.jsonl"
+        bad.write_bytes(text + b"\xff\n")
+        with pytest.raises(IngestionError) as info:
+            load_sessions(bad)
+        assert str(info.value).startswith(f"{bad}: not UTF-8 text at byte {len(text)}")
+
+    def test_shard_index_not_utf8_returns_two(self, shards, tmp_path, capsys):
+        copy = tmp_path / "shards"
+        copy.mkdir()
+        for name in ("shard.bin", "index.json"):
+            (copy / name).write_bytes((shards / name).read_bytes())
+        index = copy / "index.json"
+        index.write_bytes(b"\xff\xfe" + index.read_bytes())
+        argv = ["train", str(copy), "--out", str(tmp_path / "t"), "--epochs", "1"]
+        assert main(argv) == 2
+        assert f"{index}: not UTF-8 text at byte 0" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_returns_one(self, shards, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfeepochs = 1\n")
+        argv = ["train", str(shards), "--config", str(cfg), "--out", str(tmp_path / "t")]
+        assert main(argv) == 1
+        assert f"{cfg}: not UTF-8 text at byte 0" in capsys.readouterr().err
 
     def test_training_error_returns_three(self, shards, tmp_path, monkeypatch):
         def explode(data, cfg, params=None, progress=None):
@@ -626,6 +673,27 @@ class TestCheckpointConfig:
             load_params(bad, load_shards(shards))
         assert main(["eval", str(shards), str(bad), "--out", str(tmp_path / "e")]) == 4
         assert repr(name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, mutate", [
+        ("meta.vocab_sha256", lambda a: a[0] + 256),
+        ("meta.config", lambda a: 1e20),
+        ("meta.config", lambda a: a[0] + 0.5),
+        ("meta.vocab_sha256", lambda a: np.nan),
+    ], ids=["wraps-to-same-byte", "overflows-cast", "fraction", "nan"])
+    def test_metadata_value_not_a_byte_returns_four_and_names_it(
+        self, shards, model_run, tmp_path, capsys, entry, mutate
+    ):
+        """A cast to uint8 would wrap 256 + x to x, or warn on a value out
+        of range; each entry is checked before it is read as bytes."""
+        raw = load_tensors(model_run)
+        raw[entry][0] = mutate(raw[entry])
+        bad = tmp_path / "bad.bin"
+        save_tensors(bad, raw)
+        with pytest.raises(EvaluationError, match=re.escape(repr(entry))):
+            load_params(bad, load_shards(shards))
+        assert main(["eval", str(shards), str(bad), "--out", str(tmp_path / "e")]) == 4
+        err = capsys.readouterr().err
+        assert repr(entry) in err and str(bad) in err
 
     def test_unknown_entry_returns_four_and_names_it(self, shards, model_run, tmp_path, capsys):
         raw = load_tensors(model_run)

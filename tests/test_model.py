@@ -21,8 +21,8 @@ from nirrec.model import (
     TrainConfig,
     apply_ablation,
     candidate_ids,
+    encode_chunk,
     forward,
-    forward_chunk,
     infer_candidate_embeddings,
     init_params,
     load_params,
@@ -239,9 +239,10 @@ class TestSessionLoss:
         params = init_params(data, cfg)
         history = [3, 3]
         cand = candidate_ids(data.n_items, history)
-        fwd = forward_chunk([history], params, data, cfg.lambda_, beta_mode="mean")
+        enc = encode_chunk([history], params, data)
+        intent = enc.intent(params, cfg.lambda_, beta_mode="mean")
         logits = score_candidates(
-            fwd.i, params.w_proj, infer_candidate_embeddings(params, data, cand)
+            intent.i, params.w_proj, infer_candidate_embeddings(params, data, cand)
         ).data[0]
         gt = int(np.argmin(logits))
         with ad.Tape() as tape:
@@ -284,8 +285,9 @@ def collect_grads(named):
 
 
 class TestSingleSessionForward:
-    """``forward`` is ``forward_chunk`` of one session with its intent row
-    as a vector, and that row is the session's row in any chunk."""
+    """``forward`` is the two steps on a chunk of one session with its
+    intent row as a vector, and that row is the session's row in any
+    chunk."""
 
     @pytest.mark.parametrize("beta_mode", ["mean", "sample"])
     def test_forward_is_its_row_of_a_chunk(self, beta_mode):
@@ -300,18 +302,18 @@ class TestSingleSessionForward:
 
         alone = forward(histories[1], params, data, cfg.lambda_, rng=rng("b"),
                         beta_mode=beta_mode, session_id="b")
-        one = forward_chunk([histories[1]], params, data, cfg.lambda_, rngs=[rng("b")],
-                            beta_mode=beta_mode, session_ids=["b"])
-        chunk = forward_chunk(histories, params, data, cfg.lambda_,
-                              rngs=[rng(s) for s in ids], beta_mode=beta_mode, session_ids=ids)
+        one = encode_chunk([histories[1]], params, data, session_ids=["b"]).intent(
+            params, cfg.lambda_, rng=[rng("b")], beta_mode=beta_mode)
+        enc = encode_chunk(histories, params, data, session_ids=ids)
+        chunk = enc.intent(params, cfg.lambda_, rng=[rng(s) for s in ids], beta_mode=beta_mode)
         assert alone.i.shape == (2 * cfg.d,)
         assert one.i.shape == (1, 2 * cfg.d) and chunk.i.shape == (3, 2 * cfg.d)
         np.testing.assert_array_equal(alone.i.data, one.i.data[0])
         np.testing.assert_allclose(alone.i.data, chunk.i.data[1], rtol=1e-12, atol=1e-12)
         if beta_mode == "sample":
-            rows = chunk.graph.segments
+            rows = enc.graph.segments
             lo, hi = rows.starts[1], rows.starts[2]
-            np.testing.assert_array_equal(alone.intent.draws, chunk.intent.draws[lo:hi])
+            np.testing.assert_array_equal(alone.intent.draws, chunk.draws[lo:hi])
 
 
 class TestEndToEndGradients:
