@@ -39,7 +39,8 @@ from .evaluate import (
     write_rankings_csv,
 )
 from .ingest import PrepareOptions, load_shards, prepare, read_utf8, save_shards
-from .model import ABLATIONS, TrainConfig, apply_ablation, config_key, load_params, train
+from .model import ABLATIONS, TrainConfig, apply_ablation, load_params, train
+from .options import KINDS, as_config, config_key
 
 log = logging.getLogger("nirrec")
 
@@ -50,32 +51,15 @@ DEFAULT_SWEEP_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
 # configuration plumbing
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
 # Each stage's dataclass declares its options.  Every field but ``seed`` is
-# a config-file key (its ``config_key``) and a command-line flag, converted
-# by the type of its default (a None default takes a path); ``seed`` is the
-# shared --seed flag instead.  Value checks live in each __post_init__.
+# a config-file key and a command-line flag, read by nirrec.options' parser
+# for its default's type; ``seed`` is the shared --seed flag instead.
 STAGES = (TrainConfig, PrepareOptions, EvalOptions)
 OPTIONS = {cls: tuple(f for f in fields(cls) if f.name != "seed") for cls in STAGES}
 # The flags not spelled after their config key.
 FLAGS = {"eval_ks": "--k", "vectors_path": "--vectors"}
-_CONVERTERS = {
-    int: int, float: float, str: str, type(None): str, bool: _parse_bool, tuple: _parse_ints,
-}
 ALL_KEYS = {
-    config_key(f.name): _CONVERTERS[type(f.default)] for cls in STAGES for f in OPTIONS[cls]
+    config_key(f.name): KINDS[type(f.default)].parse for cls in STAGES for f in OPTIONS[cls]
 }
 
 
@@ -118,17 +102,6 @@ def build_options(cls, args: argparse.Namespace, file_cfg: dict[str, str], base=
         elif key in file_cfg:
             values[f.name] = _convert(key, file_cfg[key])
     return cls(**values) if base is None else replace(base, **values)
-
-
-def as_config(*options) -> dict:
-    """A manifest's config: every field of each options object under its
-    config key, tuples as lists."""
-    out = {}
-    for opts in options:
-        for f in fields(opts):
-            value = getattr(opts, f.name)
-            out[config_key(f.name)] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +242,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     file_cfg = _file_config(args)
     ev = build_options(EvalOptions, args, file_cfg)
+    # --k and the file's training keys are checked before any input is read.
+    build_options(TrainConfig, args, file_cfg)
 
     def configure(stored: TrainConfig) -> TrainConfig:
         """--seed, and --k or the file's eval_ks, on the stored config; every

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .autodiff import Rng, Tensor
-from .errors import ConfigurationError, DomainError, EvaluationError
+from .errors import ConfigurationError, DomainError, EvaluationError, NonFiniteError
 from .ingest import EncodedSession, PreparedData
 from .model import (
     ModelParams,
@@ -31,6 +31,7 @@ from .model import (
     infer_candidate_embeddings,
     score_candidates,
 )
+from .options import as_config, check_types
 
 
 SKIP_REASONS = ("no_candidates", "gt_not_candidate")
@@ -42,7 +43,7 @@ EVAL_MODES = ("mean", "sampled")
 CATALOG_BLOCK_ROWS = 384
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalOptions:
     """How :func:`evaluate` scores a checkpoint: ``mean`` ranks once under
     the Beta-mean attention, ``sampled`` ranks ``repeats`` times under
@@ -54,14 +55,11 @@ class EvalOptions:
     strict_precision: bool = False
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.eval_mode not in EVAL_MODES:
             raise ConfigurationError(f"eval_mode must be mean or sampled, got {self.eval_mode!r}")
-        if not isinstance(self.repeats, (int, np.integer)) or self.repeats < 1:
+        if self.repeats < 1:
             raise ConfigurationError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if not isinstance(self.strict_precision, bool):
-            raise ConfigurationError(
-                f"strict_precision must be true or false, got {self.strict_precision!r}"
-            )
 
 
 @dataclass
@@ -217,7 +215,7 @@ def evaluate(
     params: ModelParams,
     data: PreparedData,
     cfg: TrainConfig,
-    ev: EvalOptions | None = None,
+    ev: EvalOptions = EvalOptions(),
 ) -> MetricsReport:
     """Score every test session against the full candidate pool under
     ``ev`` (default: ``EvalOptions()``, the Beta-mean attention).
@@ -239,12 +237,11 @@ def evaluate(
     and ``mrr_std`` their population std, and ``results`` hold the first
     pass's rankings.  Either way :func:`nirrec.model.encode_chunk` builds
     each chunk's graphs and runs its GGNN once per call; the passes
-    redraw only the Beta points and score again.
+    redraw only the Beta points and score again.  A non-finite value is
+    an EvaluationError naming the chunk's sessions, or the catalog table.
     """
-    ev = ev or EvalOptions()
     if not data.test:
         raise EvaluationError("test split is empty")
-    emb = catalog_table(params, data)
     kept: list[tuple[EncodedSession, np.ndarray]] = []
     reasons = dict.fromkeys(SKIP_REASONS, 0)
     for sess in data.test:
@@ -266,22 +263,30 @@ def evaluate(
     else:
         passes = [Rng(cfg.seed, "eval-sample", r) for r in range(ev.repeats)]
     runs: list[list[RankedResult]] = [[] for _ in passes]
-    for part in chunk_slices([sess.history for sess, _ in kept]):
-        chunk = kept[part]
-        enc = encode_chunk(
-            [sess.history for sess, _ in chunk], params, data, cfg.propagate_taxonomy,
-            [sess.session_id for sess, _ in chunk],
-        )
-        for rng, results in zip(passes, runs):
-            intent = enc.intent(
-                params, cfg.lambda_,
-                rng=None if rng is None else [rng.derive(sess.session_id) for sess, _ in chunk],
-                beta_mode="mean" if rng is None else "sample",
-            )
-            # Rank the logits: softmax rounding can tie candidates they order.
-            logits = score_candidates(intent.i, params.w_proj, emb).data
-            for (sess, cand), row in zip(chunk, logits):
-                results.append(_rank_ids(sess.session_id, cand, row[cand - 1], sess.gt))
+    ids: list[str] = []
+    try:
+        # Every op checks its output, so NumPy's overflow warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            emb = catalog_table(params, data)
+            for part in chunk_slices([sess.history for sess, _ in kept]):
+                chunk = kept[part]
+                ids = [sess.session_id for sess, _ in chunk]
+                enc = encode_chunk(
+                    [sess.history for sess, _ in chunk], params, data, cfg.propagate_taxonomy, ids
+                )
+                for rng, results in zip(passes, runs):
+                    intent = enc.intent(
+                        params, cfg.lambda_,
+                        rng=None if rng is None else [rng.derive(sid) for sid in ids],
+                        beta_mode="mean" if rng is None else "sample",
+                    )
+                    # Rank the logits: softmax rounding can tie candidates they order.
+                    logits = score_candidates(intent.i, params.w_proj, emb).data
+                    for (sess, cand), row in zip(chunk, logits):
+                        results.append(_rank_ids(sess.session_id, cand, row[cand - 1], sess.gt))
+    except NonFiniteError as e:
+        where = f"the chunk of sessions {ids}" if ids else "the catalog table"
+        raise EvaluationError(f"non-finite value in {where}: {e}") from e
     p = {
         k: [precision_at_k(run, k, strict=ev.strict_precision) for run in runs]
         for k in cfg.eval_ks
@@ -293,7 +298,7 @@ def evaluate(
         sessions=len(kept),
         skipped=skipped,
         seed=cfg.seed,
-        config=cfg.to_dict(),
+        config=as_config(cfg),
         results=runs[0],
         precision_convention="strict" if ev.strict_precision else "hit_rate",
         skipped_reasons=reasons,

@@ -33,6 +33,7 @@ import numpy as np
 
 from .autodiff import Rng, Segments, load_tensors, save_tensors
 from .errors import ConfigurationError, DomainError, IngestionError
+from .options import check_types
 from .sessiongraph import Session, mask_ground_truth
 
 UNKNOWN = "<unk>"
@@ -404,14 +405,11 @@ def encode_attributes(
     table itself is a model parameter).  ``pretrained`` takes a vector
     file as :func:`load_vector_file` parses it, requires ≥95% token
     coverage, and maps missing tokens to the UNKNOWN column whose vector
-    is zero.
+    is zero.  :class:`PrepareOptions` checks the mode, and that a
+    pretrained one has a vector file.
     """
-    if mode not in ("trainable", "pretrained"):
-        raise ConfigurationError(f"attribute mode must be trainable or pretrained, got {mode!r}")
     all_tokens = sorted({tok for rec in records for tok in rec.attributes})
     if mode == "pretrained":
-        if vector_file is None:
-            raise ConfigurationError("pretrained attribute mode requires a vector file")
         file_vectors, dim = vector_file
         if all_tokens:
             covered = sum(1 for tok in all_tokens if tok in file_vectors)
@@ -450,11 +448,6 @@ def encode_attributes(
 # full preparation pipeline
 
 
-def is_integer(value) -> bool:
-    """Whether an option value is an integer: a float or a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass
 class PrepareOptions:
     """``levels`` are the taxonomy cluster sizes k1, k2, k3 for flat-label
@@ -469,20 +462,20 @@ class PrepareOptions:
     label_vector_dim: int = 16
 
     def __post_init__(self) -> None:
-        k = tuple(self.levels)
-        if not (
-            len(k) == 3
-            and all(map(is_integer, k))
-            and k[0] > k[1] > k[2] >= 1
-        ):
+        check_types(self)
+        k = self.levels
+        if not (len(k) == 3 and k[0] > k[1] > k[2] >= 1):
             raise ConfigurationError(
                 f"levels must be three integers k1 > k2 > k3 >= 1, got {self.levels}"
             )
+        if self.attr_mode not in ("trainable", "pretrained"):
+            raise ConfigurationError(
+                f"attr_mode must be trainable or pretrained, got {self.attr_mode!r}"
+            )
+        if self.attr_mode == "pretrained" and self.vectors_path is None:
+            raise ConfigurationError("attr_mode pretrained requires a vector file (vectors_path)")
         if not math.isfinite(self.boundary_days):
             raise ConfigurationError(f"boundary_days must be finite, got {self.boundary_days}")
-        for name in ("seed", "label_vector_dim"):
-            if not is_integer(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.label_vector_dim < 1:
             raise ConfigurationError(
                 f"label_vector_dim must be positive, got {self.label_vector_dim}"

@@ -50,8 +50,9 @@ from .errors import (
     NonFiniteError,
     TrainingError,
 )
-from .ingest import PreparedData, is_integer
+from .ingest import PreparedData
 from .intent import IntentParams, IntentResult, compute_intent, init_intent
+from .options import as_config, check_types, config_key
 from .sessiongraph import GraphUnion, build_graph, union_graphs
 from .zeroshot import ThetaParams, init_theta, l_zero, theta_forward
 
@@ -59,12 +60,6 @@ ABLATIONS = ("no_alpha", "no_beta", "no_lzero")
 CANDIDATE_MODES = ("full_vocab", "sampled")
 CONFIG_ENTRY = "meta.config"
 DIGEST_ENTRY = "meta.vocab_sha256"
-
-
-def config_key(name: str) -> str:
-    """Config-file and JSON spelling of a :class:`TrainConfig` field
-    (``lambda_`` is ``lambda``)."""
-    return name.rstrip("_")
 
 
 @dataclass
@@ -94,14 +89,11 @@ class TrainConfig:
     propagate_taxonomy: bool = False
 
     def __post_init__(self) -> None:
+        check_types(self)
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ConfigurationError(f"lambda must lie in [0, 1], got {self.lambda_}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigurationError(f"gamma must lie in [0, 1], got {self.gamma}")
-        for name in ("d", "d_a", "h", "t_steps", "epochs", "batch_size", "seed", "beta_seed",
-                     "negatives"):
-            if not is_integer(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("d", "d_a", "t_steps", "epochs", "batch_size", "negatives"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
@@ -113,9 +105,8 @@ class TrainConfig:
             raise ConfigurationError(
                 f"candidate_mode must be full_vocab or sampled, got {self.candidate_mode!r}"
             )
-        if not self.eval_ks or not all(is_integer(k) and k >= 1 for k in self.eval_ks):
+        if not self.eval_ks or min(self.eval_ks) < 1:
             raise ConfigurationError(f"eval_ks must be positive integers, got {self.eval_ks}")
-        self.eval_ks = tuple(int(k) for k in self.eval_ks)
 
     @property
     def beta_seed_effective(self) -> int:
@@ -123,37 +114,12 @@ class TrainConfig:
         prove it never consumes randomness; -1 means follow the main seed."""
         return self.seed if self.beta_seed < 0 else self.beta_seed
 
-    def to_dict(self) -> dict:
-        out = {config_key(f.name): getattr(self, f.name) for f in fields(self)}
-        out["eval_ks"] = list(self.eval_ks)
-        return out
-
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
         unknown = sorted(set(raw) - {config_key(f.name) for f in fields(cls)})
         if unknown:
             raise ConfigurationError(f"unknown config keys {unknown}")
-        values = {}
-        for f in fields(cls):
-            key = config_key(f.name)
-            if not _stands_for(raw[key], f.default):
-                raise ConfigurationError(
-                    f"config key {key!r} = {raw[key]!r} is not of its type, "
-                    f"{type(f.default).__name__}"
-                )
-            values[f.name] = raw[key]
-        return cls(**values)
-
-
-def _stands_for(value, default) -> bool:
-    """A stored value may stand for a field whose default is ``default``:
-    the same type, an int for a float, a list of ints for a tuple, and a
-    bool only for a bool."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
-    if isinstance(default, float) and type(value) is int:
-        return True
-    return type(value) is type(default)
+        return cls(**{f.name: raw[config_key(f.name)] for f in fields(cls)})
 
 
 def apply_ablation(cfg: TrainConfig, which: str) -> TrainConfig:
@@ -203,7 +169,7 @@ class ModelParams:
     def save(self, path: str | Path) -> None:
         """Write every tensor plus the config and vocabulary digest that
         define the model, so evaluation needs nothing else."""
-        config = json.dumps(self.config.to_dict(), sort_keys=True, separators=(",", ":"))
+        config = json.dumps(as_config(self.config), sort_keys=True, separators=(",", ":"))
         save_tensors(path, {
             **{k: v.data for k, v in self.named().items()},
             CONFIG_ENTRY: _bytes_to_vector(config.encode("utf-8")),

@@ -21,7 +21,7 @@ chunk of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -78,43 +78,29 @@ class SessionGraph:
 
     ``nodes`` lists items in first-occurrence order; ``adj_out[i][j]`` is
     count(i→j)/outdegree(i) and ``adj_in[i][j]`` is count(j→i)/indegree(i),
-    so each nonzero row of either matrix sums to one.
+    so each nonzero row of either matrix sums to one.  ``last_index`` is
+    the node of the most recent history item.
     """
 
     nodes: list[ItemId]
     adj_out: np.ndarray
     adj_in: np.ndarray
-    history: list[ItemId]
-    ground_truth: ItemId | None = None
-    session_id: str = ""
-    _node_index: dict[ItemId, int] = field(repr=False, default_factory=dict)
+    last_index: int
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    @property
-    def last_index(self) -> int:
-        """Index of the node housing the most recent history item."""
-        return self._node_index[self.history[-1]]
 
-
-def build_graph(
-    history: Sequence[ItemId],
-    ground_truth: ItemId | None = None,
-    session_id: str = "",
-) -> SessionGraph:
-    """Construct the session graph for a masked history."""
+def build_graph(history: Sequence[ItemId], session_id: str = "") -> SessionGraph:
+    """Construct the session graph for a masked history; ``session_id``
+    only names the session in an error."""
     if not history:
-        raise IngestionError("cannot build a session graph from an empty history")
+        raise IngestionError(f"session '{session_id}' has an empty history: no graph to build")
     index: dict[ItemId, int] = {}
     for item in history:
         if item not in index:
             index[item] = len(index)
-    if ground_truth is not None and ground_truth in index:
-        raise IngestionError(
-            f"ground truth {ground_truth!r} appears in the masked history"
-        )
     n = len(index)
     counts = np.zeros((n, n), dtype=np.float64)
     for a, b in zip(history, list(history)[1:]):
@@ -125,15 +111,7 @@ def build_graph(
     with np.errstate(invalid="ignore", divide="ignore"):
         adj_out = np.where(out_deg > 0, counts / np.where(out_deg > 0, out_deg, 1.0), 0.0)
         adj_in = np.where(in_deg > 0, in_counts / np.where(in_deg > 0, in_deg, 1.0), 0.0)
-    return SessionGraph(
-        nodes=list(index),
-        adj_out=adj_out,
-        adj_in=adj_in,
-        history=list(history),
-        ground_truth=ground_truth,
-        session_id=session_id,
-        _node_index=index,
-    )
+    return SessionGraph(list(index), adj_out, adj_in, index[history[-1]])
 
 
 @dataclass
@@ -153,19 +131,15 @@ class GraphUnion:
 
 
 def union_graphs(graphs: Sequence[SessionGraph]) -> GraphUnion:
-    """Stack session graphs into one graph with block-diagonal adjacency.
-    A single graph keeps its own matrices."""
+    """Stack session graphs into one graph with block-diagonal adjacency."""
     sizes = [g.n for g in graphs]
     starts = np.cumsum([0] + sizes[:-1])
     n = int(sum(sizes))
-    if len(graphs) == 1:
-        adj_out, adj_in = graphs[0].adj_out, graphs[0].adj_in
-    else:
-        adj_out = np.zeros((n, n))
-        adj_in = np.zeros((n, n))
-        for g, lo in zip(graphs, starts):
-            adj_out[lo : lo + g.n, lo : lo + g.n] = g.adj_out
-            adj_in[lo : lo + g.n, lo : lo + g.n] = g.adj_in
+    adj_out = np.zeros((n, n))
+    adj_in = np.zeros((n, n))
+    for g, lo in zip(graphs, starts):
+        adj_out[lo : lo + g.n, lo : lo + g.n] = g.adj_out
+        adj_in[lo : lo + g.n, lo : lo + g.n] = g.adj_in
     return GraphUnion(
         nodes=[item for g in graphs for item in g.nodes],
         adj_out=adj_out,

@@ -50,32 +50,35 @@ def checkpoint(tmp_path_factory, shards):
     return out / "checkpoint.bin"
 
 
-# Every option field with its dataclass, command-line flag, config-file key
-# and a value other than its default (as typed on the command line;
-# `vectors_path`'s value names a vector file the test writes).
+# Every option field with its dataclass, command-line flag, config-file key,
+# a value other than its default (as typed on the command line;
+# `vectors_path`'s value names a vector file the test writes), and a value
+# of the wrong type for the library.
 SCHEMA = {
-    "d": (TrainConfig, "--d", "d", "8"),
-    "d_a": (TrainConfig, "--d-a", "d_a", "5"),
-    "h": (TrainConfig, "--h", "h", "7"),
-    "t_steps": (TrainConfig, "--t-steps", "t_steps", "2"),
-    "lambda_": (TrainConfig, "--lambda", "lambda", "0.25"),
-    "gamma": (TrainConfig, "--gamma", "gamma", "0.75"),
-    "lr": (TrainConfig, "--lr", "lr", "0.01"),
-    "epochs": (TrainConfig, "--epochs", "epochs", "3"),
-    "batch_size": (TrainConfig, "--batch-size", "batch_size", "4"),
-    "beta_seed": (TrainConfig, "--beta-seed", "beta_seed", "6"),
-    "candidate_mode": (TrainConfig, "--candidate-mode", "candidate_mode", "sampled"),
-    "negatives": (TrainConfig, "--negatives", "negatives", "9"),
-    "eval_ks": (TrainConfig, "--k", "eval_ks", "1,5"),
-    "propagate_taxonomy": (TrainConfig, "--propagate-taxonomy", "propagate_taxonomy", "true"),
-    "levels": (PrepareOptions, "--levels", "levels", "4,3,2"),
-    "attr_mode": (PrepareOptions, "--attr-mode", "attr_mode", "pretrained"),
-    "vectors_path": (PrepareOptions, "--vectors", "vectors_path", "other.vec"),
-    "boundary_days": (PrepareOptions, "--boundary-days", "boundary_days", "6.5"),
-    "label_vector_dim": (PrepareOptions, "--label-vector-dim", "label_vector_dim", "4"),
-    "eval_mode": (EvalOptions, "--eval-mode", "eval_mode", "sampled"),
-    "repeats": (EvalOptions, "--repeats", "repeats", "2"),
-    "strict_precision": (EvalOptions, "--strict-precision", "strict_precision", "true"),
+    "d": (TrainConfig, "--d", "d", "8", 8.5),
+    "d_a": (TrainConfig, "--d-a", "d_a", "5", "5"),
+    "h": (TrainConfig, "--h", "h", "7", 7.0),
+    "t_steps": (TrainConfig, "--t-steps", "t_steps", "2", True),
+    "lambda_": (TrainConfig, "--lambda", "lambda", "0.25", "0.25"),
+    "gamma": (TrainConfig, "--gamma", "gamma", "0.75", True),
+    "lr": (TrainConfig, "--lr", "lr", "0.01", "0.01"),
+    "epochs": (TrainConfig, "--epochs", "epochs", "3", 3.0),
+    "batch_size": (TrainConfig, "--batch-size", "batch_size", "4", "4"),
+    "beta_seed": (TrainConfig, "--beta-seed", "beta_seed", "6", 6.5),
+    "candidate_mode": (TrainConfig, "--candidate-mode", "candidate_mode", "sampled", 1),
+    "negatives": (TrainConfig, "--negatives", "negatives", "9", 9.5),
+    "eval_ks": (TrainConfig, "--k", "eval_ks", "1,5", (1, 5.0)),
+    "propagate_taxonomy": (
+        TrainConfig, "--propagate-taxonomy", "propagate_taxonomy", "true", "no"
+    ),
+    "levels": (PrepareOptions, "--levels", "levels", "4,3,2", "4,3,2"),
+    "attr_mode": (PrepareOptions, "--attr-mode", "attr_mode", "pretrained", None),
+    "vectors_path": (PrepareOptions, "--vectors", "vectors_path", "other.vec", 3),
+    "boundary_days": (PrepareOptions, "--boundary-days", "boundary_days", "6.5", "7"),
+    "label_vector_dim": (PrepareOptions, "--label-vector-dim", "label_vector_dim", "4", 4.0),
+    "eval_mode": (EvalOptions, "--eval-mode", "eval_mode", "sampled", ["sampled"]),
+    "repeats": (EvalOptions, "--repeats", "repeats", "2", True),
+    "strict_precision": (EvalOptions, "--strict-precision", "strict_precision", "true", 1),
 }
 COMMAND_OF = {PrepareOptions: "prepare", TrainConfig: "train", EvalOptions: "eval"}
 
@@ -97,7 +100,7 @@ class TestTrainSchema:
     def test_every_field_is_covered(self):
         declared = {(cls, f.name) for cls in COMMAND_OF for f in fields(cls) if f.name != "seed"}
         assert {(cls, name) for name, (cls, *_) in SCHEMA.items()} == declared
-        assert {key for _, _, key, _ in SCHEMA.values()} == set(cli.ALL_KEYS)
+        assert {key for _, _, key, *_ in SCHEMA.values()} == set(cli.ALL_KEYS)
 
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -109,7 +112,7 @@ class TestTrainSchema:
     def test_field_through_flag_file_and_round_trip(
         self, name, tmp_path, corpus, shards, checkpoint
     ):
-        cls, flag, key, raw = SCHEMA[name]
+        cls, flag, key, raw, _ = SCHEMA[name]
         if name == "vectors_path":
             raw = str(write_token_vectors(tmp_path / raw, corpus[1]))
         command = COMMAND_OF[cls]
@@ -133,7 +136,7 @@ class TestTrainSchema:
         assert from_flag == from_file
         assert getattr(from_flag, "seed", 2) == 2
         if cls is TrainConfig:
-            assert TrainConfig.from_dict(from_flag.to_dict()) == from_flag
+            assert TrainConfig.from_dict(cli.as_config(from_flag)) == from_flag
         recorded = []
         for label, argv in (("flag", base + flag_argv), ("file", base + ["--config", str(cfg_file)])):
             out = tmp_path / label
@@ -141,6 +144,14 @@ class TestTrainSchema:
             recorded.append(json.loads((out / "manifest.json").read_text())["config"][key])
         assert recorded == [cli.as_config(from_flag)[key]] * 2
         assert recorded[0] != cli.as_config(cls())[key]
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA))
+    def test_wrong_type_is_a_configuration_error_naming_the_key(self, name):
+        """Every field is checked against its default's type, whoever
+        builds the options."""
+        cls, _, key, _, wrong = SCHEMA[name]
+        with pytest.raises(ConfigurationError, match=rf"^{key} must be "):
+            cls(**{name: wrong})
 
 
 class TestConfigFile:
@@ -387,6 +398,51 @@ class TestExitCodes:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command, key, flag, value", [
+        ("prepare", "levels", "--levels", "1,2,3"),
+        ("prepare", "attr_mode", "--attr-mode", "dense"),
+        ("prepare", "vectors_path", "--attr-mode", "pretrained"),
+        ("prepare", "boundary_days", "--boundary-days", "nan"),
+        ("prepare", "label_vector_dim", "--label-vector-dim", "0"),
+        ("train", "d", "--d", "0"),
+        ("train", "d_a", "--d-a", "0"),
+        ("train", "h", "--h", "-1"),
+        ("train", "t_steps", "--t-steps", "0"),
+        ("train", "lambda", "--lambda", "1.5"),
+        ("train", "gamma", "--gamma", "1.5"),
+        ("train", "lr", "--lr", "0"),
+        ("train", "epochs", "--epochs", "0"),
+        ("train", "batch_size", "--batch-size", "0"),
+        ("train", "candidate_mode", "--candidate-mode", "all"),
+        ("train", "negatives", "--negatives", "0"),
+        ("train", "eval_ks", "--k", "0"),
+        ("eval", "eval_mode", "--eval-mode", "median"),
+        ("eval", "repeats", "--repeats", "0"),
+        ("eval", "eval_ks", "--k", "0"),
+    ])
+    def test_bad_option_fails_before_any_input_is_read(
+        self, tmp_path, capsys, command, key, flag, value, source
+    ):
+        """Every option with a choice or a range, given a bad one from a
+        flag or from the file, exits 1 naming its key, though no input
+        exists.  (``vectors_path`` is named when pretrained has none.)"""
+        inputs = [str(tmp_path / name) for name in {
+            "prepare": ("sessions.jsonl", "catalog.jsonl"),
+            "train": ("shards",),
+            "eval": ("shards", "checkpoint.bin"),
+        }[command]]
+        if source == "flag":
+            extra = [flag, value]
+        else:
+            file_key = {"--k": "eval_ks"}.get(flag, flag[2:].replace("-", "_"))
+            (tmp_path / "bad.cfg").write_text(f"{file_key} = {value}\n")
+            extra = ["--config", str(tmp_path / "bad.cfg")]
+        assert main([command, *inputs, *extra, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("repeats", ["0", "-3"])
@@ -705,6 +761,31 @@ class TestCheckpointConfig:
         assert main(["eval", str(shards), str(extra), "--out", str(tmp_path / "e")]) == 4
         assert "'enc.unknown_extra'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale, where", [
+        ({"proj.W_I": 1e307}, "the chunk of sessions [{first}"),
+        ({"zeroshot.theta.h_w": 1e300, "zeroshot.theta.o_w": 1e308}, "the catalog table"),
+    ], ids=["chunk", "catalog"])
+    def test_overflowing_checkpoint_returns_four_naming_where(
+        self, shards, tmp_path, capsys, scale, where
+    ):
+        """Finite weights whose products overflow, in a chunk's scores or in
+        θ over the catalog: evaluation names where, and no NumPy overflow
+        warning surfaces first."""
+        run = tmp_path / "run"
+        assert main(["train", str(shards), "--out", str(run), "--epochs", "1", "--d", "8"]) == 0
+        raw = load_tensors(run / "checkpoint.bin")
+        for name, factor in scale.items():
+            raw[name] = raw[name] * factor
+        bad = tmp_path / "overflow.bin"
+        save_tensors(bad, raw)
+        data = load_shards(shards)
+        params, cfg = load_params(bad, data)
+        where = where.format(first=repr(data.test[0].session_id))
+        with pytest.raises(EvaluationError, match=re.escape(f"non-finite value in {where}")):
+            evaluate(params, data, cfg)
+        assert main(["eval", str(shards), str(bad), "--out", str(tmp_path / "e")]) == 4
+        assert f"evaluation error: non-finite value in {where}" in capsys.readouterr().err
+
     def test_unknown_config_key_returns_four_and_names_it(
         self, shards, model_run, tmp_path, capsys
     ):
@@ -736,10 +817,10 @@ class TestCheckpointConfig:
         raw["meta.config"] = np.frombuffer(blob, dtype=np.uint8).astype(np.float64)
         bad = tmp_path / "bad.bin"
         save_tensors(bad, raw)
-        with pytest.raises(ConfigurationError, match=repr(key)):
+        with pytest.raises(ConfigurationError, match=rf"^{key} must be "):
             TrainConfig.from_dict(config)
         assert main(["eval", str(shards), str(bad), "--out", str(tmp_path / "e")]) == 4
-        assert repr(key) in capsys.readouterr().err
+        assert f"{key} must be " in capsys.readouterr().err
 
     def test_same_size_vocabulary_with_renamed_item_returns_four(
         self, corpus, shards, model_run, tmp_path, capsys

@@ -435,9 +435,18 @@ class TestPrepareOptions:
     input is read, each error naming its key."""
 
     def test_levels_must_decrease(self):
-        for levels in ((3, 3, 1), (1, 2, 3), (3, 2, 0), (3, 2), (3.5, 2, 1), (3, 2, True)):
+        for levels in ((3, 3, 1), (1, 2, 3), (3, 2, 0), (3, 2)):
             with pytest.raises(ConfigurationError, match="levels .*k1 > k2 > k3"):
                 PrepareOptions(levels=levels)
+        for levels in ((3.5, 2, 1), (3, 2, True)):
+            with pytest.raises(ConfigurationError, match="levels must be a list of integers"):
+                PrepareOptions(levels=levels)
+
+    def test_attr_mode_is_checked_with_its_vector_file(self):
+        with pytest.raises(ConfigurationError, match="attr_mode must be trainable or pretrained"):
+            PrepareOptions(attr_mode="frozen")
+        with pytest.raises(ConfigurationError, match="attr_mode pretrained requires a vector file"):
+            PrepareOptions(attr_mode="pretrained")
 
     @pytest.mark.parametrize("days", [float("nan"), float("inf"), float("-inf")])
     def test_boundary_days_must_be_finite(self, days):
@@ -535,12 +544,6 @@ class TestEncodeAttributes:
         vf.write_text("a 1.0 2.0\nb 3.0\n", encoding="utf-8")
         with pytest.raises(IngestionError, match="expected 2"):
             load_vector_file(vf)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="trainable or pretrained"):
-            encode_attributes(self.records(), self.index(), 4, mode="frozen")
-        with pytest.raises(ConfigurationError, match="requires a vector file"):
-            encode_attributes(self.records(), self.index(), 4, mode="pretrained")
 
 
 def toy_corpus(tmp_path, n_days=12):

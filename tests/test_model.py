@@ -32,6 +32,7 @@ from nirrec.model import (
     session_loss,
     train,
 )
+from nirrec.options import as_config
 from nirrec.zeroshot import theta_forward
 
 
@@ -807,7 +808,7 @@ class TestConfigValidation:
 
     def test_config_round_trips_to_dict(self):
         cfg = small_cfg(lambda_=0.25, gamma=0.75)
-        d = cfg.to_dict()
+        d = as_config(cfg)
         assert d["lambda"] == 0.25
         assert d["gamma"] == 0.75
         assert d["eval_ks"] == [10, 20]

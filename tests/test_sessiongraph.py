@@ -141,13 +141,11 @@ class TestBuildGraph:
                 assert np.all(mat >= 0.0) and np.all(mat <= 1.0)
 
     def test_ground_truth_never_among_nodes(self):
-        """The masked item is new by construction; a violation is an error."""
+        """The masked item is new by construction."""
         history, gt = mask_ground_truth(make_session([1, 2, 3, 1, 4]))
-        g = build_graph(history, ground_truth=gt)
-        assert g.ground_truth == 4
+        g = build_graph(history)
+        assert gt == 4
         assert 4 not in g.nodes
-        with pytest.raises(IngestionError):
-            build_graph([1, 2], ground_truth=2)
 
     def test_last_index_points_at_final_history_item(self):
         """last_index resolves to the node of the most recent event."""
