@@ -39,13 +39,22 @@ class Adam:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t = 0
+        # Two rows of scratch as long as the largest parameter, shared by
+        # every parameter's update as views.
+        self._scratch = np.empty((2, 0))
 
     def step(self, params: Mapping[str, Tensor]) -> None:
         """Apply one update in sorted-name order (order-stable determinism).
 
         Every gradient is checked first: a missing one raises
         ConfigurationError and a non-finite one NonFiniteError, before any
-        parameter or moment changes."""
+        parameter or moment changes.  Moments and parameters are updated in
+        place, with the operations of
+
+            m = β1·m + (1 − β1)·g,   v = β2·v + (1 − β2)·(g·g),
+            p −= lr·(m / bc1) / (√(v / bc2) + eps)
+
+        in that order, so the values are those of the expressions."""
         for name in sorted(params):
             if params[name].grad is None:
                 raise ConfigurationError(f"parameter '{name}' has no gradient")
@@ -54,19 +63,31 @@ class Adam:
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
+        largest = max((p.data.size for p in params.values()), default=0)
+        if self._scratch.shape[1] < largest:
+            self._scratch = np.empty((2, largest))
         for name in sorted(params):
             p = params[name]
             g = p.grad
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self._m[name] = m
-            self._v[name] = v
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if name not in self._m:
+                self._m[name] = np.zeros_like(p.data)
+                self._v[name] = np.zeros_like(p.data)
+            m, v = self._m[name], self._v[name]
+            a, b = (row[: p.data.size].reshape(p.data.shape) for row in self._scratch)
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a
 
 
 def zero_grads(params: Mapping[str, Tensor]) -> None:

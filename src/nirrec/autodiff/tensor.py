@@ -50,6 +50,7 @@ __all__ = [
     "attention_readout",
     "standardized_readout",
     "path_embedding",
+    "mlp",
     "mix",
     "matmul",
     "transpose",
@@ -105,7 +106,12 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        """Zero the gradient buffer in place, or make one when there is
+        none of this tensor's shape (see ``_grad_buffer`` on ownership)."""
+        if self.grad is None or self.grad.shape != self.data.shape or not self.grad.flags.writeable:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -172,7 +178,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64, copy=True)
     else:
-        t.grad = t.grad + g
+        buf = _grad_buffer(t)
+        buf += g
 
 
 def _grad_buffer(t: Tensor) -> np.ndarray | None:
@@ -180,8 +187,12 @@ def _grad_buffer(t: Tensor) -> np.ndarray | None:
     place, created as zeros when missing; None when ``t`` takes no
     gradient.  For rules whose gradient touches few rows of a large
     table, where a table-sized temporary per call would cost more than
-    the scatter.  Gradients stay owned by their tensor: a caller that
-    keeps ``t.grad`` across backward calls should copy it."""
+    the scatter.
+
+    Gradients are buffers owned by their tensor and reused across steps:
+    :func:`_accumulate` adds into an existing gradient in place and
+    :meth:`Tensor.zero_grad` refills it with zeros, so a caller that keeps
+    ``t.grad`` across backward calls or optimizer steps must copy it."""
     if not t.requires_grad:
         return None
     if t.grad is None:
@@ -783,6 +794,55 @@ def path_embedding(tables, ids, w, b) -> Tensor:
             lo += width
 
     return _record(out, (*tables, w, b), rule)
+
+
+def mlp(x, h_w, h_b, o_w, o_b) -> Tensor:
+    """tanh(x·h_w + h_b)·o_w + o_b for m rows ``x`` (m × k): a tanh
+    hidden layer (``h_w`` k × h, ``h_b`` of length h) and a linear output
+    layer (``o_w`` h × d, ``o_b`` of length d).
+
+    One op for the chain of :func:`matmul`, :func:`add`, :func:`tanh`,
+    :func:`matmul` and :func:`add`, with the same NumPy calls in the same
+    order (each bias added in place), so its values are bit-identical to
+    that chain's; backward spells the chain's rules, and skips the product
+    into ``x`` when ``x`` takes no gradient, as :func:`matmul` does; it
+    reads only ``x`` and the hidden rows.  The pre-activation is checked
+    for NaN and Inf, which tanh would saturate into a finite output.
+    """
+    x, h_w, h_b, o_w, o_b = map(_as_tensor, (x, h_w, h_b, o_w, o_b))
+    if x.ndim != 2 or h_w.ndim != 2 or o_w.ndim != 2:
+        raise DimensionError(
+            f"mlp: expected 2-d rows and weights, got {x.shape}, {h_w.shape} and {o_w.shape}"
+        )
+    if (
+        x.shape[1] != h_w.shape[0] or h_b.shape != h_w.shape[1:]
+        or o_w.shape[0] != h_w.shape[1] or o_b.shape != o_w.shape[1:]
+    ):
+        raise DimensionError(
+            f"mlp: weights {h_w.shape}, {h_b.shape}, {o_w.shape} and {o_b.shape} do not fit "
+            f"{x.shape[1]}-wide rows"
+        )
+    xd = x.data
+    hid = xd @ h_w.data
+    hid += h_b.data
+    if not all_finite(hid):
+        raise NonFiniteError("mlp: the hidden pre-activation contains NaN or Inf")
+    np.tanh(hid, out=hid)
+    y = hid @ o_w.data
+    y += o_b.data
+    out = Tensor(y)
+
+    def rule(g: np.ndarray) -> None:
+        _accumulate(o_b, g.sum(axis=0))
+        _accumulate(o_w, hid.T @ g)
+        gp = g @ o_w.data.T
+        gp *= 1.0 - hid * hid
+        _accumulate(h_b, gp.sum(axis=0))
+        _accumulate(h_w, xd.T @ gp)
+        if x.requires_grad:
+            _accumulate(x, gp @ h_w.data.T)
+
+    return _record(out, (x, h_w, h_b, o_w, o_b), rule)
 
 
 def mix(a, b, w: float) -> Tensor:

@@ -116,9 +116,13 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        unknown = sorted(set(raw) - {config_key(f.name) for f in fields(cls)})
+        keys = {config_key(f.name) for f in fields(cls)}
+        unknown = sorted(set(raw) - keys)
         if unknown:
             raise ConfigurationError(f"unknown config keys {unknown}")
+        missing = sorted(keys - set(raw))
+        if missing:
+            raise ConfigurationError(f"missing config keys {missing}")
         return cls(**{f.name: raw[config_key(f.name)] for f in fields(cls)})
 
 
@@ -283,10 +287,11 @@ def load_params(path: str | Path, data: PreparedData) -> tuple[ModelParams, Trai
 # Graph nodes per chunk: training and evaluation run the sessions of a
 # batch in chunks of at most this many nodes together, each as one graph
 # (a session with more nodes is a chunk of its own).  A chunk's tape
-# holds about 35 ops whatever its size, so a chunk costs about what one
-# session did; its activations grow with its nodes: a training chunk's
-# tape holds about 17 kB per node at d = 64 on long sessions, 29 kB on
-# short ones.  128 trained about 10% faster than 96, but raised the
+# holds about 30 ops whatever its size, so a chunk costs about what one
+# session did; its activations grow with its nodes: after its forward
+# pass a training chunk's tape holds about 15 kB per node at d = 64 on
+# long sessions, 27 kB on short ones (tracemalloc; 17 and 29 kB before θ
+# was one op).  128 trained about 10% faster than 96, but raised the
 # peak RSS of perfbench's long-sessions workload by 5%, against 2% at 96,
 # when a node held about 40 kB (before the fused GGNN step).
 CHUNK_NODES = 96
@@ -534,7 +539,10 @@ def train(
     A non-finite value aborts naming the session: the failed chunk's
     sessions are run again one at a time to find it.  A fault in the
     shared θ pass, or a non-finite gradient (which Adam refuses before it
-    changes any parameter), names the batch's sessions.
+    changes any parameter), names the batch's sessions.  NumPy's overflow
+    and invalid-value warnings are silenced meanwhile, as in
+    :func:`nirrec.evaluate.evaluate`, so an overflow ends in this
+    TrainingError, not in a warning turned error.
     """
     if not data.train:
         raise TrainingError("training split is empty")
@@ -555,86 +563,91 @@ def train(
         lz_sum = 0.0
         pdf_clamped = 0
         theta_rows = 0
-        for lo in range(0, n, cfg.batch_size):
-            batch = [data.train[int(idx)] for idx in order[lo : lo + cfg.batch_size]]
-            zero_grads(trainable)
-            # A stream is derived only where it is drawn from: negatives in
-            # sampled mode, Beta points below λ = 1.
-            cands = [
-                session_candidates(
-                    sess.history, sess.gt, data.n_items, cfg,
-                    root.derive("negatives", epoch, sess.session_id) if sampled else None,
-                )
-                for sess in batch
-            ]
-            in_rows = np.zeros(data.n_items, dtype=bool)
-            for cand in cands:
-                in_rows[cand] = True
-            rows = np.flatnonzero(in_rows)
-            try:
-                with ad.Tape() as theta_tape:
-                    emb = infer_candidate_embeddings(params, data, rows)
-            except NonFiniteError as e:
-                ids = ", ".join(f"'{sess.session_id}'" for sess in batch)
-                raise TrainingError(
-                    f"non-finite value in the shared θ pass of the batch of sessions "
-                    f"[{ids}] (epoch {epoch}): {e}"
-                ) from e
-            table = Tensor(emb.data, requires_grad=True)
-            theta_rows += len(rows)
-            seed = np.float64(1.0 / len(batch))
-
-            def step(part: slice) -> SessionLossParts:
-                """Forward and backward of the batch's sessions ``part``."""
-                beta_rngs = None
-                if draws_beta:
-                    beta_rngs = [beta_root.derive(epoch, sess.session_id) for sess in batch[part]]
-                with ad.Tape() as tape:
-                    parts = session_loss(
-                        [sess.history for sess in batch[part]],
-                        [sess.gt for sess in batch[part]],
-                        params,
-                        data,
-                        cfg,
-                        rng=beta_rngs,
-                        beta_mode="sample",
-                        session_id=[sess.session_id for sess in batch[part]],
-                        cand=cands[part],
-                        table=(rows, table),
+        # Every op checks its output and Adam its gradients, so NumPy's
+        # overflow warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, cfg.batch_size):
+                batch = [data.train[int(idx)] for idx in order[lo : lo + cfg.batch_size]]
+                zero_grads(trainable)
+                # A stream is derived only where it is drawn from: negatives in
+                # sampled mode, Beta points below λ = 1.
+                cands = [
+                    session_candidates(
+                        sess.history, sess.gt, data.n_items, cfg,
+                        root.derive("negatives", epoch, sess.session_id) if sampled else None,
                     )
-                    tape.backward(parts.loss, seed=seed)
-                return parts
-
-            for part in chunk_slices([sess.history for sess in batch]):
+                    for sess in batch
+                ]
+                in_rows = np.zeros(data.n_items, dtype=bool)
+                for cand in cands:
+                    in_rows[cand] = True
+                rows = np.flatnonzero(in_rows)
                 try:
-                    parts = step(part)
+                    with ad.Tape() as theta_tape:
+                        emb = infer_candidate_embeddings(params, data, rows)
                 except NonFiniteError as e:
-                    # Find the session: the cost falls on this path only.
-                    for k in range(part.start, part.stop):
-                        try:
-                            step(slice(k, k + 1))
-                        except NonFiniteError as alone:
-                            raise TrainingError(
-                                f"non-finite value in session '{batch[k].session_id}' "
-                                f"(epoch {epoch}): {alone}"
-                            ) from alone
-                    ids = ", ".join(f"'{sess.session_id}'" for sess in batch[part])
+                    ids = ", ".join(f"'{sess.session_id}'" for sess in batch)
                     raise TrainingError(
-                        f"non-finite value in the chunk of sessions [{ids}] "
+                        f"non-finite value in the shared θ pass of the batch of sessions "
+                        f"[{ids}] (epoch {epoch}): {e}"
+                    ) from e
+                table = Tensor(emb.data, requires_grad=True)
+                theta_rows += len(rows)
+                seed = np.float64(1.0 / len(batch))
+
+                def step(part: slice) -> SessionLossParts:
+                    """Forward and backward of the batch's sessions ``part``."""
+                    beta_rngs = None
+                    if draws_beta:
+                        beta_rngs = [
+                            beta_root.derive(epoch, sess.session_id) for sess in batch[part]
+                        ]
+                    with ad.Tape() as tape:
+                        parts = session_loss(
+                            [sess.history for sess in batch[part]],
+                            [sess.gt for sess in batch[part]],
+                            params,
+                            data,
+                            cfg,
+                            rng=beta_rngs,
+                            beta_mode="sample",
+                            session_id=[sess.session_id for sess in batch[part]],
+                            cand=cands[part],
+                            table=(rows, table),
+                        )
+                        tape.backward(parts.loss, seed=seed)
+                    return parts
+
+                for part in chunk_slices([sess.history for sess in batch]):
+                    try:
+                        parts = step(part)
+                    except NonFiniteError as e:
+                        # Find the session: the cost falls on this path only.
+                        for k in range(part.start, part.stop):
+                            try:
+                                step(slice(k, k + 1))
+                            except NonFiniteError as alone:
+                                raise TrainingError(
+                                    f"non-finite value in session '{batch[k].session_id}' "
+                                    f"(epoch {epoch}): {alone}"
+                                ) from alone
+                        ids = ", ".join(f"'{sess.session_id}'" for sess in batch[part])
+                        raise TrainingError(
+                            f"non-finite value in the chunk of sessions [{ids}] "
+                            f"(epoch {epoch}): {e}"
+                        ) from e
+                    ce_sum += parts.ce
+                    lz_sum += parts.lz
+                    pdf_clamped += parts.pdf_clamped
+                theta_tape.backward(emb, seed=table.grad)
+                try:
+                    opt.step(trainable)
+                except NonFiniteError as e:
+                    ids = ", ".join(f"'{sess.session_id}'" for sess in batch)
+                    raise TrainingError(
+                        f"non-finite gradient from the batch of sessions [{ids}] "
                         f"(epoch {epoch}): {e}"
                     ) from e
-                ce_sum += parts.ce
-                lz_sum += parts.lz
-                pdf_clamped += parts.pdf_clamped
-            theta_tape.backward(emb, seed=table.grad)
-            try:
-                opt.step(trainable)
-            except NonFiniteError as e:
-                ids = ", ".join(f"'{sess.session_id}'" for sess in batch)
-                raise TrainingError(
-                    f"non-finite gradient from the batch of sessions [{ids}] "
-                    f"(epoch {epoch}): {e}"
-                ) from e
         seconds = time.perf_counter() - started
         entry = {
             "epoch": epoch,

@@ -66,13 +66,13 @@ def init_theta(d_a: int, d: int, rng: Rng, hidden: int | None = None) -> ThetaPa
 
 
 def theta_forward(params: ThetaParams, atr: Tensor) -> Tensor:
-    """Map attribute embeddings (m×d_a) to item embeddings (m×d)."""
+    """Map attribute embeddings (m×d_a) to item embeddings (m×d), as one
+    autodiff op (:func:`nirrec.autodiff.mlp`)."""
     if atr.ndim != 2 or atr.shape[1] != params.d_a:
         raise DimensionError(
             f"theta expects (m, {params.d_a}) attribute embeddings, got {atr.shape}"
         )
-    hidden = ad.tanh(ad.add(ad.matmul(atr, params.h_w), params.h_b))
-    return ad.add(ad.matmul(hidden, params.o_w), params.o_b)
+    return ad.mlp(atr, params.h_w, params.h_b, params.o_w, params.o_b)
 
 
 def bhattacharyya(v: Tensor, v_star: Tensor) -> Tensor:

@@ -68,6 +68,54 @@ class TestAdam:
         for p in params.values():
             np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
 
+    def test_gradient_buffers_are_reused(self):
+        """zero_grads zeroes each gradient buffer in place, and a backward
+        pass adds into it: the array stays the same across steps."""
+        params = {
+            "a": ad.Tensor(np.ones(3), requires_grad=True),
+            "b": ad.Tensor(np.ones((2, 2)), requires_grad=True),
+        }
+        zero_grads(params)
+        before = {name: p.grad for name, p in params.items()}
+        for _ in range(2):
+            with ad.Tape() as tape:
+                tape.backward(ad.add(ad.reduce_sum(params["a"]), ad.reduce_sum(params["b"])))
+            for name, p in params.items():
+                assert p.grad is before[name]
+                np.testing.assert_array_equal(p.grad, np.ones_like(p.data))
+            zero_grads(params)
+            for name, p in params.items():
+                assert p.grad is before[name]
+                np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
+
+    def test_steps_equal_the_update_expressions(self):
+        """Five steps over parameters of three sizes, the smaller updated
+        through views of the larger one's scratch, equal the update written
+        as expressions bit for bit, and leave the gradients as they were."""
+        rng = np.random.default_rng(0)
+        shapes = {"a": (4, 3), "b": (5,), "c": ()}
+        params = {k: ad.Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+        want = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = Adam(lr=0.01)
+        b1, b2, lr, eps = opt.beta1, opt.beta2, opt.lr, opt.eps
+        for t in range(1, 6):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-9, 3), size=s)
+                     for k, s in shapes.items()}
+            for k, p in params.items():
+                p.grad = grads[k].copy()
+            opt.step(params)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+                want[k] = want[k] - lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+                np.testing.assert_array_equal(params[k].data, want[k], err_msg=f"{k} step {t}")
+                np.testing.assert_array_equal(opt._m[k], m[k])
+                np.testing.assert_array_equal(opt._v[k], v[k])
+                np.testing.assert_array_equal(params[k].grad, g)
+
     def test_invalid_hyperparameters_rejected(self):
         """Non-positive or non-finite lr and out-of-range betas are
         configuration errors."""

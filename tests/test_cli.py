@@ -298,7 +298,6 @@ class TestExitCodes:
         argv = ["train", str(shards), "--out", str(tmp_path / "t"), "--epochs", "1"]
         assert main(argv) == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_returns_three_and_writes_no_checkpoint(
         self, shards, tmp_path, monkeypatch, capsys
     ):
@@ -802,6 +801,25 @@ class TestCheckpointConfig:
             load_params(extra, load_shards(shards))
         assert main(["eval", str(shards), str(extra), "--out", str(tmp_path / "e")]) == 4
         assert "'dropout'" in capsys.readouterr().err
+
+    def test_missing_config_keys_return_four_and_are_listed(
+        self, shards, model_run, tmp_path, capsys
+    ):
+        raw = load_tensors(model_run)
+        config = json.loads(raw["meta.config"].astype(np.uint8).tobytes())
+        del config["lr"], config["d_a"]
+        blob = json.dumps(config, sort_keys=True).encode("utf-8")
+        raw["meta.config"] = np.frombuffer(blob, dtype=np.uint8).astype(np.float64)
+        short = tmp_path / "short.bin"
+        save_tensors(short, raw)
+        with pytest.raises(ConfigurationError, match=re.escape("missing config keys ['d_a', 'lr']")):
+            TrainConfig.from_dict(config)
+        with pytest.raises(ConfigurationError, match="missing config keys"):
+            TrainConfig.from_dict({"d": 8})
+        with pytest.raises(EvaluationError, match=re.escape("['d_a', 'lr']")):
+            load_params(short, load_shards(shards))
+        assert main(["eval", str(shards), str(short), "--out", str(tmp_path / "e")]) == 4
+        assert "missing config keys ['d_a', 'lr']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("d", 8.5), ("d", "8"), ("t_steps", 1.5), ("propagate_taxonomy", "no"),

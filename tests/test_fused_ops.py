@@ -1,12 +1,12 @@
 """The fused ops against the op chains they replace: `gated_graph_step`,
-`log_beta_density`, the taxonomy embedding's `path_embedding` and the dual
-intent's `attention_readout`, `beta_shapes`, `beta_density`,
+`log_beta_density`, the taxonomy embedding's `path_embedding`, θ's `mlp`
+and the dual intent's `attention_readout`, `beta_shapes`, `beta_density`,
 `standardized_readout` and `mix`.  Straight-line copies of those chains are
 kept here as references, matched in value bit for bit (the two readouts,
 which sum in row order where their chains multiply by 0/1 matrices, within
-1e-14 of the largest magnitude) and in gradient within 1e-12, and the ops
-are checked against central finite differences.  The last class bounds the
-ops and tensors that the request path builds."""
+1e-14 of the largest magnitude) and in gradient within 1e-12 (`mlp` bit for
+bit), and the ops are checked against central finite differences.  The
+last class bounds the ops and tensors that the request path builds."""
 
 from dataclasses import replace
 
@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 import nirrec.autodiff as ad
+import nirrec.model as model_mod
+import nirrec.zeroshot as zeroshot
 from nirrec.autodiff import Rng, Tensor
+from nirrec.datagen import write_toy_dataset
 from nirrec.encoder import (
     GgnnParams,
     embed_session,
@@ -25,6 +28,7 @@ from nirrec.encoder import (
 )
 from nirrec.errors import DimensionError, DomainError, NonFiniteError
 from nirrec.evaluate import evaluate
+from nirrec.ingest import prepare
 from nirrec.intent import (
     PDF_FLOOR,
     STD_EPS,
@@ -34,7 +38,7 @@ from nirrec.intent import (
     compute_intent,
     init_intent,
 )
-from nirrec.model import init_params
+from nirrec.model import init_params, train
 from nirrec.sessiongraph import build_graph, union_graphs
 
 from test_model import small_cfg, tiny_data
@@ -360,6 +364,126 @@ class TestPathEmbedding:
             ad.path_embedding(tables, np.array([[1, 1]]), enc.w_tax, enc.b_tax)
         with pytest.raises(DimensionError, match="weights"):
             ad.path_embedding(tables, np.array([[1, 1, 1]]), enc.w_tax.data[1:], enc.b_tax)
+
+
+def theta_chain(x, h_w, h_b, o_w, o_b) -> Tensor:
+    """θ spelled as the 5 ops it was before the fused op."""
+    hidden = ad.tanh(ad.add(ad.matmul(x, h_w), h_b))
+    return ad.add(ad.matmul(hidden, o_w), o_b)
+
+
+def mlp_case(seed, x_grad=True, m=7, k=5, h=6, d=4):
+    """Rows x, the four θ weights and output weights for a backward seed.
+    Weights of scale 1.5 push tanh off its linear middle, so a wrong
+    derivative term shows."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(m, k)), requires_grad=x_grad)
+    weights = [
+        Tensor(rng.normal(scale=1.5, size=shape), requires_grad=True)
+        for shape in ((k, h), (h,), (h, d), (d,))
+    ]
+    return x, weights, rng.normal(size=(m, d))
+
+
+class TestMlp:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_matches_op_chain(self, seed, x_grad):
+        """Values and all five gradients equal the chain's bit for bit,
+        added into gradients the leaves already hold; a constant x takes
+        none."""
+        x, weights, seed_grad = mlp_case(seed, x_grad=x_grad)
+        leaves = [x, *weights]
+        prior = [np.random.default_rng(seed + 10).normal(size=t.shape) for t in leaves]
+
+        def run(op):
+            for t, p in zip(leaves, prior):
+                t.grad = p.copy() if t.requires_grad else None
+            with ad.Tape() as tape:
+                out = op(*leaves)
+                tape.backward(out, seed=seed_grad)
+            return out.data, [t.grad for t in leaves]
+
+        got, got_grads = run(ad.mlp)
+        want, want_grads = run(theta_chain)
+        np.testing.assert_array_equal(got, want)
+        for name, g, w in zip(("x", "h_w", "h_b", "o_w", "o_b"), got_grads, want_grads):
+            if w is None:
+                assert g is None and not x_grad, name
+            else:
+                np.testing.assert_array_equal(g, w, err_msg=name)
+
+    def test_finite_differences_for_every_input(self):
+        x, weights, seed_grad = mlp_case(3)
+        base = [t.data.copy() for t in (x, *weights)]
+        leaves = [Tensor(b, requires_grad=True) for b in base]
+        with ad.Tape() as tape:
+            tape.backward(ad.mlp(*leaves), seed=seed_grad)
+        for i, name in enumerate(("x", "h_w", "h_b", "o_w", "o_b")):
+
+            def f(arr, i=i):
+                args = [arr if j == i else b for j, b in enumerate(base)]
+                return float(np.sum(ad.mlp(*args).data * seed_grad))
+
+            np.testing.assert_allclose(
+                leaves[i].grad, numeric_grad(f, base[i]), rtol=1e-6, atol=1e-9, err_msg=name
+            )
+
+    def test_one_tape_op(self):
+        x, weights, _ = mlp_case(0)
+        with ad.Tape() as tape:
+            ad.mlp(x, *weights)
+        assert len(tape) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflow_before_tanh_raises(self):
+        """tanh maps an overflowed pre-activation to ±1; the op still raises,
+        as the chain does at the overflowing op."""
+        x, weights, _ = mlp_case(0)
+        x.data *= 1e10
+        weights[0].data *= 1e300
+        with pytest.raises(NonFiniteError):
+            theta_chain(x, *weights)
+        with pytest.raises(NonFiniteError, match="pre-activation"):
+            ad.mlp(x, *weights)
+
+    def test_shape_errors(self):
+        x, (h_w, h_b, o_w, o_b), _ = mlp_case(0)
+        with pytest.raises(DimensionError, match="2-d"):
+            ad.mlp(x.data[0], h_w, h_b, o_w, o_b)
+        for args in (
+            (x.data[:, 1:], h_w, h_b, o_w, o_b),
+            (x, h_w, h_b.data[1:], o_w, o_b),
+            (x, h_w, h_b, o_w.data[1:], o_b),
+            (x, h_w, h_b, o_w, o_b.data[1:]),
+        ):
+            with pytest.raises(DimensionError, match="do not fit"):
+                ad.mlp(*args)
+
+    def test_training_saves_the_same_bytes_as_the_chain(self, tmp_path, monkeypatch):
+        """Two epochs on the toy corpus, with trainable attributes, save the
+        same checkpoint bytes as with θ spelled as its chain."""
+        data = prepare(*write_toy_dataset(tmp_path))
+        cfg = small_cfg(epochs=2, batch_size=8)
+        assert data.attr_vectors is None
+
+        def saved(name):
+            path = tmp_path / name
+            train(data, cfg).params.save(path)
+            return path.read_bytes()
+
+        fused = saved("fused.bin")
+        calls = []
+
+        def chain(params, atr):
+            calls.append(len(atr.data))
+            return theta_chain(atr, params.h_w, params.h_b, params.o_w, params.o_b)
+
+        monkeypatch.setattr(zeroshot, "theta_forward", chain)
+        monkeypatch.setattr(model_mod, "theta_forward", chain)
+        assert saved("chain.bin") == fused
+        assert calls
 
 
 def segment_matrices(starts, last_rows, n):
